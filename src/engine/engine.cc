@@ -111,26 +111,6 @@ Result<std::vector<Row>> ContinuousQuery::CurrentSnapshot() {
 
 namespace {
 
-exec::InputEvent ToInputEvent(const FeedEvent& event) {
-  exec::InputEvent out;
-  switch (event.kind) {
-    case FeedEvent::Kind::kInsert:
-      out.kind = exec::InputEvent::Kind::kInsert;
-      break;
-    case FeedEvent::Kind::kDelete:
-      out.kind = exec::InputEvent::Kind::kDelete;
-      break;
-    case FeedEvent::Kind::kWatermark:
-      out.kind = exec::InputEvent::Kind::kWatermark;
-      break;
-  }
-  out.source = event.source;
-  out.ptime = event.ptime;
-  out.row = event.row;
-  out.watermark = event.watermark;
-  return out;
-}
-
 /// Wall-clock source for durability latencies (checkpoint save/restore).
 /// Event-time metrics never use this — they run on the logical feed clock.
 uint64_t MonotonicMicros() {
@@ -226,6 +206,21 @@ std::vector<typename Map::const_iterator> SortedByName(const Map& map) {
   return its;
 }
 
+/// Pointers to `chunks[begin, end)`, the form DataflowRuntime::PushChunks
+/// and exec::VisitInSeqOrder take.
+std::vector<const exec::InputChunk*> ChunkPtrs(
+    const std::vector<exec::InputChunk>& chunks, size_t begin, size_t end) {
+  std::vector<const exec::InputChunk*> out;
+  out.reserve(end - begin);
+  for (size_t i = begin; i < end; ++i) out.push_back(&chunks[i]);
+  return out;
+}
+
+std::vector<const exec::InputChunk*> ChunkPtrs(
+    const std::vector<exec::InputChunk>& chunks) {
+  return ChunkPtrs(chunks, 0, chunks.size());
+}
+
 }  // namespace
 
 Status Engine::RegisterStream(const std::string& name, Schema schema) {
@@ -289,42 +284,27 @@ Result<ContinuousQuery*> Engine::Execute(const std::string& sql,
   // reflect everything its operators ever processed.
   if (obs_ != nullptr) AttachQueryObs(query.get());
 
-  // Replay into the new query as one batch (a single fork-join barrier on
-  // the sharded runtime): static tables first — contents at the beginning
-  // of time, then a +inf watermark, since a bounded relation is a TVR that
-  // never changes again — followed by the recorded history so the result
-  // reflects all data so far.
-  // Tables iterate in sorted order: replay bytes must not depend on hash-map
-  // iteration order, or two engines with identical registrations could
-  // interleave multi-table replays differently (observable through join
-  // emission order).
-  std::vector<exec::InputEvent> replay;
-  replay.reserve(history_events_);
+  // Replay into the new query: static tables first — contents at the
+  // beginning of time, then a +inf watermark, since a bounded relation is a
+  // TVR that never changes again — as one push, then the recorded history's
+  // own chunks, so the result reflects all data so far. Tables iterate in
+  // sorted order: replay bytes must not depend on hash-map iteration order,
+  // or two engines with identical registrations could interleave
+  // multi-table replays differently (observable through join emission
+  // order).
+  std::vector<exec::InputChunk> tables;
+  exec::ChunkBuilder builder(&tables, 0);
   for (const auto& it : SortedByName(table_rows_)) {
     const std::string& name = it->first;
-    const std::vector<Row>& rows = it->second;
     if (!query->flow_->ReadsSource(name)) continue;
-    for (const Row& row : rows) {
-      exec::InputEvent event;
-      event.kind = exec::InputEvent::Kind::kInsert;
-      event.source = name;
-      event.ptime = Timestamp::Min();
-      event.row = row;
-      replay.push_back(std::move(event));
+    for (const Row& row : it->second) {
+      builder.AddElement(name, row, +1, Timestamp::Min());
     }
-    exec::InputEvent mark;
-    mark.kind = exec::InputEvent::Kind::kWatermark;
-    mark.source = name;
-    mark.ptime = Timestamp::Min();
-    mark.watermark = Timestamp::Max();
-    replay.push_back(std::move(mark));
+    builder.AddWatermark(name, Timestamp::Max(), Timestamp::Min());
   }
-  std::vector<HistoryEvent> hist;
-  MaterializeHistory(&hist);
-  for (const HistoryEvent& h : hist) {
-    replay.push_back(ToInputEvent(h.event));
-  }
-  ONESQL_RETURN_NOT_OK(query->flow_->PushBatch(replay));
+  builder.CloseAll();
+  ONESQL_RETURN_NOT_OK(query->flow_->PushChunks(ChunkPtrs(tables)));
+  ONESQL_RETURN_NOT_OK(query->flow_->PushChunks(ChunkPtrs(history_)));
   query->last_ptime_ = last_ptime_;
   query->sql_ = sql;
   query->allowed_lateness_ = options.allowed_lateness;
@@ -387,20 +367,6 @@ Result<std::unique_ptr<Engine>> Engine::CloneRegistrations() const {
   return clone;
 }
 
-Status Engine::AppendWal(const FeedEvent& event) {
-  if (replaying_wal_) return Status::OK();
-  if (gc_wal_ != nullptr) return gc_wal_->Append(ToWalRecord(feed_seq_, event));
-  if (wal_ != nullptr) return wal_->Append(ToWalRecord(feed_seq_, event));
-  return Status::OK();
-}
-
-Status Engine::SyncWal() {
-  if (replaying_wal_) return Status::OK();
-  if (gc_wal_ != nullptr) return gc_wal_->Sync();
-  if (wal_ != nullptr) return wal_->Sync();
-  return Status::OK();
-}
-
 Status Engine::Insert(const std::string& stream, Timestamp ptime, Row row) {
   FeedEvent event;
   event.kind = FeedEvent::Kind::kInsert;
@@ -438,7 +404,7 @@ Status Engine::AdvanceWatermark(const std::string& stream, Timestamp ptime,
 Status Engine::Feed(const std::vector<FeedEvent>& events) {
   obs::Span span(obs_ != nullptr ? obs_->trace() : nullptr, "feed", "engine");
   span.set_aux(events.size());
-  // Feed calls serialize on feed_mu_. Under group commit the lock is dropped
+  // Feed calls serialize on feed_sync_->mu. When durable the lock is dropped
   // for the durability wait (below), so N feeder threads interleave
   // validate/enqueue and share fsyncs; otherwise the lock is held end to end
   // and concurrent Feed degenerates to strict turn-taking.
@@ -476,9 +442,7 @@ Status Engine::Feed(const std::vector<FeedEvent>& events) {
   // Backpressure attribution (profiling only): total time this Feed call
   // spent blocked on the feed log — every append plus the sync barrier —
   // recorded as one sample so the histogram is per-feed-call stall time.
-  const bool profile_wal = engine_profile_ != nullptr &&
-                           (wal_ != nullptr || gc_wal_ != nullptr) &&
-                           !replaying_wal_;
+  const bool profile_wal = engine_profile_ != nullptr && durable();
   uint64_t wal_stall_us = 0;
   for (const FeedEvent& event : events) {
     Status status = Status::OK();
@@ -545,14 +509,10 @@ Status Engine::Feed(const std::vector<FeedEvent>& events) {
     }
     // Log before mutating engine state: an event the WAL never saw must not
     // become part of the replayable history.
-    if (status.ok()) {
-      if (profile_wal) {
-        const uint64_t t0 = obs::TraceRecorder::NowMicros();
-        status = AppendWal(event);
-        wal_stall_us += obs::TraceRecorder::NowMicros() - t0;
-      } else {
-        status = AppendWal(event);
-      }
+    if (status.ok() && durable()) {
+      const uint64_t t0 = profile_wal ? obs::TraceRecorder::NowMicros() : 0;
+      status = feed_log_->Append(ToWalRecord(feed_seq_, event));
+      if (profile_wal) wal_stall_us += obs::TraceRecorder::NowMicros() - t0;
     }
     if (!status.ok()) {
       deferred = std::move(status);
@@ -614,38 +574,32 @@ Status Engine::Feed(const std::vector<FeedEvent>& events) {
   const uint64_t end_seq = base_seq + accepted;
   // One durability barrier for the whole batch: every recorded event is on
   // disk before any query observes any of them.
-  Status durable_status;
-  const uint64_t sync_t0 = profile_wal ? obs::TraceRecorder::NowMicros() : 0;
-  if (gc_wal_ != nullptr && !replaying_wal_) {
+  Status dispatch_status;
+  if (durable()) {
+    const uint64_t sync_t0 = profile_wal ? obs::TraceRecorder::NowMicros() : 0;
     // Drop the engine lock for the wait: feeders arriving while this group's
     // fsync is in flight validate and enqueue into the *next* group, which
     // is exactly how group commit amortizes the sync cost.
     lock.unlock();
-    durable_status = gc_wal_->WaitDurable(end_seq);
+    dispatch_status = feed_log_->WaitDurable(end_seq);
     lock.lock();
     // Dispatch turnstile: a shared group fsync wakes every member at once,
     // but queries must observe feeds in seq order — park until every earlier
     // feed has dispatched.
     sync.dispatch_cv.wait(lock,
                           [&] { return sync.dispatch_next_seq == base_seq; });
-  } else {
-    durable_status = SyncWal();
+    if (profile_wal) {
+      wal_stall_us += obs::TraceRecorder::NowMicros() - sync_t0;
+      engine_profile_->feed_wal_stall_us->Record(wal_stall_us);
+    }
   }
-  if (profile_wal) {
-    wal_stall_us += obs::TraceRecorder::NowMicros() - sync_t0;
-    engine_profile_->feed_wal_stall_us->Record(wal_stall_us);
-  }
-  Status dispatch_status = durable_status;
   if (dispatch_status.ok()) {
     // Chunk pointers are resolved only now, under the lock: while a group
     // wait was in flight other feeders may have grown (and reallocated)
     // history_. The [first_chunk, chunk_end) index range stays valid; raw
     // pointers taken before the wait would not.
-    std::vector<const exec::InputChunk*> chunks;
-    chunks.reserve(chunk_end - first_chunk);
-    for (size_t i = first_chunk; i < chunk_end; ++i) {
-      chunks.push_back(&history_[i]);
-    }
+    const std::vector<const exec::InputChunk*> chunks =
+        ChunkPtrs(history_, first_chunk, chunk_end);
     const uint64_t dispatch_t0 =
         engine_profile_ != nullptr ? obs::TraceRecorder::NowMicros() : 0;
     for (auto& query : queries_) {
@@ -673,74 +627,29 @@ Status Engine::Feed(const std::vector<FeedEvent>& events) {
 void Engine::MaterializeHistory(std::vector<HistoryEvent>* out) const {
   out->clear();
   out->reserve(history_events_);
-  // Active-cursor sweep: chunks are ordered by first seq, but open element
-  // runs interleave with other sources' chunks, so merge on per-event seqs.
-  struct Cursor {
-    const exec::InputChunk* chunk;
-    size_t row = 0;
-  };
-  std::vector<Cursor> active;
-  size_t next = 0;
-  while (true) {
-    size_t best = active.size();
-    uint64_t best_seq = 0;
-    for (size_t i = 0; i < active.size(); ++i) {
-      const Cursor& cursor = active[i];
-      const uint64_t seq =
-          cursor.chunk->kind == exec::InputChunk::Kind::kRows
-              ? cursor.chunk->batch.seqs[cursor.row]
-              : cursor.chunk->seq;
-      if (best == active.size() || seq < best_seq) {
-        best = i;
-        best_seq = seq;
-      }
-    }
-    if (next < history_.size() &&
-        (best == active.size() || history_[next].FirstSeq() < best_seq)) {
-      const exec::InputChunk* chunk = &history_[next++];
-      if (chunk->NumEvents() > 0) active.push_back(Cursor{chunk, 0});
-      continue;
-    }
-    if (best == active.size()) break;
-    Cursor& cursor = active[best];
-    const exec::InputChunk* chunk = cursor.chunk;
-    HistoryEvent out_event;
-    switch (chunk->kind) {
+  const std::vector<const exec::InputChunk*> chunks = ChunkPtrs(history_);
+  (void)exec::VisitInSeqOrder(chunks, [&](size_t index, size_t row) {
+    const exec::InputChunk& chunk = *chunks[index];
+    HistoryEvent h;
+    h.event.source = chunk.source;
+    switch (chunk.kind) {
       case exec::InputChunk::Kind::kRows:
-        out_event.seq = chunk->batch.seqs[cursor.row];
-        out_event.event.kind = chunk->batch.weights[cursor.row] < 0
-                                   ? FeedEvent::Kind::kDelete
-                                   : FeedEvent::Kind::kInsert;
-        out_event.event.source = chunk->source;
-        out_event.event.ptime = chunk->batch.ptimes[cursor.row];
-        out_event.event.row = chunk->batch.RowAt(cursor.row);
+        h.seq = chunk.batch.seqs[row];
+        h.event.kind = chunk.batch.weights[row] < 0 ? FeedEvent::Kind::kDelete
+                                                    : FeedEvent::Kind::kInsert;
+        h.event.ptime = chunk.batch.ptimes[row];
+        h.event.row = chunk.batch.RowAt(row);
         break;
       case exec::InputChunk::Kind::kWatermark:
-        out_event.seq = chunk->seq;
-        out_event.event.kind = FeedEvent::Kind::kWatermark;
-        out_event.event.source = chunk->source;
-        out_event.event.ptime = chunk->ptime;
-        out_event.event.watermark = chunk->watermark;
-        break;
-      case exec::InputChunk::Kind::kSingle:
-        out_event.seq = chunk->seq;
-        out_event.event.kind = chunk->event_kind == ChangeKind::kDelete
-                                   ? FeedEvent::Kind::kDelete
-                                   : FeedEvent::Kind::kInsert;
-        out_event.event.source = chunk->source;
-        out_event.event.ptime = chunk->ptime;
-        out_event.event.row = chunk->row;
+        h.seq = chunk.seq;
+        h.event.kind = FeedEvent::Kind::kWatermark;
+        h.event.ptime = chunk.ptime;
+        h.event.watermark = chunk.watermark;
         break;
     }
-    out->push_back(std::move(out_event));
-    ++cursor.row;
-    const bool done = chunk->kind != exec::InputChunk::Kind::kRows ||
-                      cursor.row >= chunk->batch.num_rows;
-    if (done) {
-      active[best] = active.back();
-      active.pop_back();
-    }
-  }
+    out->push_back(std::move(h));
+    return Status::OK();
+  });
 }
 
 void Engine::MaybeCompactHistory() {
@@ -829,47 +738,29 @@ void Engine::CompactHistory() {
 // ---------------------------------------------------------------------------
 
 Status Engine::EnableDurability(const std::string& dir) {
-  return EnableDurability(dir, DurabilityOptions{});
-}
-
-Status Engine::EnableDurability(const std::string& dir,
-                                const DurabilityOptions& options) {
   if (durable()) {
-    return Status::InvalidArgument(
-        "durability is already enabled (log at '" +
-        (gc_wal_ != nullptr ? gc_wal_->path() : wal_->path()) + "')");
+    return Status::InvalidArgument("durability is already enabled (log at '" +
+                                   feed_log_->path() + "')");
   }
   ONESQL_RETURN_NOT_OK(state::EnsureDirectory(dir));
-  if (options.group_commit) {
-    ONESQL_ASSIGN_OR_RETURN(std::unique_ptr<state::GroupCommitLog> log,
-                            state::GroupCommitLog::Open(dir + kWalFile));
-    if (log->next_seq() != feed_seq_) {
-      const Status mismatch = Status::InvalidArgument(
-          "feed log at '" + log->path() + "' holds " +
-          std::to_string(log->next_seq()) + " events but the engine has fed " +
-          std::to_string(feed_seq_) +
-          " — Restore() from this directory first (or start a fresh one)");
-      (void)log->Close();
-      return mismatch;
-    }
-    gc_wal_ = std::move(log);
-    if (obs_ != nullptr && obs_->registry() != nullptr) {
-      gc_wal_->AttachMetrics(obs_->ForWal());
-    }
-    return Status::OK();
-  }
-  ONESQL_ASSIGN_OR_RETURN(state::FeedLog log,
-                          state::FeedLog::Open(dir + kWalFile));
-  if (log.next_seq() != feed_seq_) {
-    return Status::InvalidArgument(
-        "feed log at '" + log.path() + "' holds " +
-        std::to_string(log.next_seq()) + " events but the engine has fed " +
+  return OpenFeedLog(dir + kWalFile);
+}
+
+Status Engine::OpenFeedLog(const std::string& path) {
+  ONESQL_ASSIGN_OR_RETURN(std::unique_ptr<state::GroupCommitLog> log,
+                          state::GroupCommitLog::Open(path));
+  if (log->next_seq() != feed_seq_) {
+    const Status mismatch = Status::InvalidArgument(
+        "feed log at '" + log->path() + "' holds " +
+        std::to_string(log->next_seq()) + " events but the engine has fed " +
         std::to_string(feed_seq_) +
         " — Restore() from this directory first (or start a fresh one)");
+    (void)log->Close();
+    return mismatch;
   }
-  wal_ = std::make_unique<state::FeedLog>(std::move(log));
+  feed_log_ = std::move(log);
   if (obs_ != nullptr && obs_->registry() != nullptr) {
-    wal_->AttachMetrics(obs_->ForWal());
+    feed_log_->AttachMetrics(obs_->ForWal());
   }
   return Status::OK();
 }
@@ -922,7 +813,7 @@ Status Engine::Checkpoint(const std::string& dir) {
   const uint64_t start_us = engine_metrics_ != nullptr ? MonotonicMicros() : 0;
   // Never let a checkpoint run ahead of the feed log: everything the
   // checkpoint captures must be re-derivable from log replay too.
-  ONESQL_RETURN_NOT_OK(SyncWal());
+  if (durable()) ONESQL_RETURN_NOT_OK(feed_log_->Sync());
   ONESQL_RETURN_NOT_OK(state::EnsureDirectory(dir));
 
   state::CheckpointWriter ckpt;
@@ -1149,27 +1040,13 @@ Status Engine::Restore(const std::string& dir) {
     for (size_t i = feed_seq_; i < records.size(); ++i) {
       suffix.push_back(FromWalRecord(records[i]));
     }
-    replaying_wal_ = true;
-    Status replayed = Feed(suffix);
-    replaying_wal_ = false;
-    ONESQL_RETURN_NOT_OK(replayed);
+    // No log is attached yet, so the replayed events are not re-appended.
+    ONESQL_RETURN_NOT_OK(Feed(suffix));
   }
 
   // Re-attach the log so the restored engine keeps appending where the
-  // crashed run left off. Group commit (the default mode) is used; the file
-  // format is identical, so the mode the crashed run used does not matter.
-  if (have_wal) {
-    ONESQL_ASSIGN_OR_RETURN(std::unique_ptr<state::GroupCommitLog> log,
-                            state::GroupCommitLog::Open(wal_path));
-    if (log->next_seq() != feed_seq_) {
-      (void)log->Close();
-      return Status::Internal("feed log position diverged during restore");
-    }
-    gc_wal_ = std::move(log);
-    if (obs_ != nullptr && obs_->registry() != nullptr) {
-      gc_wal_->AttachMetrics(obs_->ForWal());
-    }
-  }
+  // crashed run left off.
+  if (have_wal) ONESQL_RETURN_NOT_OK(OpenFeedLog(wal_path));
   if (engine_metrics_ != nullptr) {
     engine_metrics_->checkpoint_restores->Increment();
     engine_metrics_->checkpoint_restore_ms->Record(
@@ -1198,8 +1075,7 @@ Status Engine::EnableObservability(const obs::ObsOptions& options) {
   if (obs_->registry() != nullptr) {
     engine_metrics_ = obs_->ForEngine();
     engine_profile_ = obs_->ForEngineProfile();
-    if (wal_ != nullptr) wal_->AttachMetrics(obs_->ForWal());
-    if (gc_wal_ != nullptr) gc_wal_->AttachMetrics(obs_->ForWal());
+    if (durable()) feed_log_->AttachMetrics(obs_->ForWal());
   }
   for (auto& query : queries_) AttachQueryObs(query.get());
   return Status::OK();

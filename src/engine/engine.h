@@ -32,18 +32,6 @@ struct FeedEvent {
   Timestamp watermark;  // kWatermark
 };
 
-/// How the engine's write-ahead feed log commits (see DESIGN.md §16).
-struct DurabilityOptions {
-  /// Group commit (the default): feed records are appended and fsync'd by a
-  /// dedicated appender thread; a Feed call blocks only until the single
-  /// fsync covering its group of records completes, so concurrent feeders
-  /// share one fsync instead of paying one each. Off = the legacy
-  /// synchronous path: append + fsync on the feeding thread before
-  /// dispatch. Both modes write the identical file format and keep the same
-  /// guarantee — every accepted event is durable before any query sees it.
-  bool group_commit = true;
-};
-
 /// Per-query execution options that are not part of the SQL text.
 struct ExecutionOptions {
   /// Extension 2's "configurable amount of allowed lateness": groupings
@@ -217,12 +205,12 @@ class Engine {
   ///
   /// Feed (and Insert/Delete/AdvanceWatermark, which route through it) is
   /// safe to call from multiple threads: calls serialize on an internal
-  /// mutex, and under group-commit durability the lock is released while a
-  /// feeder waits for its group's fsync — so N feeders validate/enqueue
-  /// interleaved and share fsyncs, while dispatch still happens in strict
-  /// feed order (events are seq-ordered across all callers). All *other*
-  /// engine entry points (Execute, Checkpoint, snapshots, …) remain
-  /// feed-boundary-only: call them while no Feed is in flight.
+  /// mutex, and when durable the lock is released while a feeder waits for
+  /// its group's fsync — so N feeders validate/enqueue interleaved and share
+  /// fsyncs, while dispatch still happens in strict feed order (events are
+  /// seq-ordered across all callers). All *other* engine entry points
+  /// (Execute, Checkpoint, snapshots, …) remain feed-boundary-only: call
+  /// them while no Feed is in flight.
   Status Feed(const std::vector<FeedEvent>& events);
 
   /// Advances the processing-time clock of every query (fires AFTER DELAY
@@ -237,12 +225,15 @@ class Engine {
   /// directory and file as needed). From this point every accepted feed
   /// event is appended to the log — and fsync'd — *before* it is dispatched
   /// to running queries, so a crash loses nothing the caller was told was
-  /// accepted. The log's tail sequence number must match the engine's feed
-  /// position (`feed_seq()`); restore first if the log already holds events.
-  /// The one-argument form uses default DurabilityOptions (group commit).
+  /// accepted. The log commits in groups (DESIGN.md §16): a dedicated
+  /// appender thread appends and fsyncs whatever feeders have enqueued, and
+  /// a Feed call blocks only until the fsync covering its events completes,
+  /// so concurrent feeders share one fsync. A failed append or fsync is
+  /// sticky: every later Feed fails with it until the engine is restored
+  /// from the directory. The log's tail sequence number must match the
+  /// engine's feed position (`feed_seq()`); restore first if the log
+  /// already holds events.
   Status EnableDurability(const std::string& dir);
-  Status EnableDurability(const std::string& dir,
-                          const DurabilityOptions& options);
 
   /// Writes a checkpoint of the full engine state — catalog, static table
   /// contents, stream watermarks, retained history, and every query's
@@ -309,7 +300,7 @@ class Engine {
   ContinuousQuery* query(size_t i) { return queries_[i].get(); }
 
   /// True when a write-ahead feed log is attached.
-  bool durable() const { return wal_ != nullptr || gc_wal_ != nullptr; }
+  bool durable() const { return feed_log_ != nullptr; }
 
   /// Number of recorded feed events retained for replaying into queries
   /// executed later. Compaction (see CompactHistory) keeps this bounded:
@@ -346,11 +337,9 @@ class Engine {
   void MaybeCompactHistory();
   void CompactHistory();
 
-  /// Appends `event` to the attached feed log (no-op when not durable or
-  /// when replaying the log itself).
-  Status AppendWal(const FeedEvent& event);
-  /// Fsyncs buffered log appends; called before dispatching to queries.
-  Status SyncWal();
+  /// Opens the group-commit feed log at `path` and attaches it; its tail
+  /// must match the engine's feed position.
+  Status OpenFeedLog(const std::string& path);
   /// Serializes the engine-level section of a checkpoint (everything but
   /// the per-query runtime state).
   void SaveEngineSection(state::Writer* w, uint64_t* num_queries) const;
@@ -390,10 +379,10 @@ class Engine {
   uint64_t next_query_label_ = 0;
   /// The recorded feed, retained in chunked columnar form — the exact form
   /// the runtimes consume (PushChunks), so the hot Feed path appends each
-  /// event once and dispatches the same chunks to every query without
-  /// re-materializing rows. Chunk seqs are the events' feed positions
-  /// (synthetic but order-preserving after a checkpoint restore), strictly
-  /// ascending across the vector.
+  /// event once and dispatches the same chunks to every query, and Execute
+  /// replays them into a new query, without re-materializing rows. Chunk
+  /// seqs are the events' feed positions (synthetic but order-preserving
+  /// after a checkpoint restore), strictly ascending across the vector.
   std::vector<exec::InputChunk> history_;
   /// Number of feed events the chunks carry (chunk count ≠ event count).
   size_t history_events_ = 0;
@@ -404,23 +393,19 @@ class Engine {
   size_t compact_at_ = 4096;
 
   // -- Durability state -----------------------------------------------------
-  /// Synchronous feed log (DurabilityOptions::group_commit == false). At most
-  /// one of wal_ / gc_wal_ is set.
-  std::unique_ptr<state::FeedLog> wal_;
-  /// Group-commit feed log (the default durable mode, DESIGN.md §16).
-  std::unique_ptr<state::GroupCommitLog> gc_wal_;
+  /// The write-ahead feed log (DESIGN.md §16); null unless durable. Restore
+  /// replays the log before attaching it, so replayed events are never
+  /// appended a second time.
+  std::unique_ptr<state::GroupCommitLog> feed_log_;
   /// Sequence number of the next feed event (counted whether or not a log
   /// is attached, so checkpoints always record their feed position).
   uint64_t feed_seq_ = 0;
-  /// Set while Restore replays the feed log, so the replayed events are not
-  /// appended to it a second time.
-  bool replaying_wal_ = false;
 
   // -- Concurrent-feed state ------------------------------------------------
   /// Heap-allocated so the Engine itself stays movable (moves only happen at
   /// setup, never with a Feed in flight).
   struct FeedSync {
-    /// Serializes Feed calls. Under group commit the lock is dropped while a
+    /// Serializes Feed calls. When durable the lock is dropped while a
     /// feeder waits for its group's fsync, so validation/enqueue of later
     /// feeds overlaps the sync; everywhere else Feed holds it end to end.
     std::mutex mu;

@@ -7,6 +7,7 @@
 
 #include "common/changelog.h"
 #include "common/row.h"
+#include "common/status.h"
 #include "common/timestamp.h"
 #include "common/value.h"
 
@@ -136,11 +137,10 @@ struct ChangeBatch {
   void MaterializeChange(size_t i, Change* out) const;
 };
 
-/// One unit of the chunked feed path. Element runs from a single source are
-/// carried as a columnar batch; watermark advances and singleton events
-/// (the per-event Insert/Delete/AdvanceWatermark API) stay scalar.
+/// One unit of the chunked feed path: a columnar run of element events from
+/// a single source, or one watermark advance.
 struct InputChunk {
-  enum class Kind : uint8_t { kRows, kWatermark, kSingle };
+  enum class Kind : uint8_t { kRows, kWatermark };
 
   Kind kind = Kind::kRows;
   std::string source;        // original spelling (checkpoint fidelity)
@@ -148,12 +148,10 @@ struct InputChunk {
 
   ChangeBatch batch;  // kRows
 
-  // kWatermark / kSingle:
+  // kWatermark:
   Timestamp ptime;
-  Timestamp watermark;        // kWatermark
-  ChangeKind event_kind = ChangeKind::kInsert;  // kSingle
-  Row row;                    // kSingle
-  uint64_t seq = 0;           // kWatermark / kSingle
+  Timestamp watermark;
+  uint64_t seq = 0;
 
   /// Sequence number of the first / last event carried by this chunk.
   uint64_t FirstSeq() const;
@@ -163,6 +161,58 @@ struct InputChunk {
   /// Largest processing time carried by this chunk.
   Timestamp MaxPtime() const;
 };
+
+/// Visits every event carried by `chunks` in ascending sequence order,
+/// calling `visit(chunk_index, row)` once per event — `row` is the row index
+/// inside a kRows chunk and 0 for a watermark chunk. Chunks must be ordered
+/// by first sequence number (as ChunkBuilder appends them), but element runs
+/// of different sources interleave, so the walk merges on per-event seqs
+/// over the small set of chunks already opened. Stops at, and returns, the
+/// first non-OK status `visit` returns. `visit` is a template parameter
+/// rather than a std::function because every event of a multi-source
+/// query's feed passes through it.
+template <typename Visit>
+Status VisitInSeqOrder(const std::vector<const InputChunk*>& chunks,
+                       Visit&& visit) {
+  struct Cursor {
+    const InputChunk* chunk;
+    size_t index;  // into `chunks`
+    size_t row;    // kRows only
+  };
+  std::vector<Cursor> active;
+  size_t next = 0;
+  while (true) {
+    size_t best = active.size();
+    uint64_t best_seq = 0;
+    for (size_t i = 0; i < active.size(); ++i) {
+      const Cursor& cursor = active[i];
+      const uint64_t seq = cursor.chunk->kind == InputChunk::Kind::kRows
+                               ? cursor.chunk->batch.seqs[cursor.row]
+                               : cursor.chunk->seq;
+      if (best == active.size() || seq < best_seq) {
+        best = i;
+        best_seq = seq;
+      }
+    }
+    if (next < chunks.size() &&
+        (best == active.size() || chunks[next]->FirstSeq() < best_seq)) {
+      if (chunks[next]->NumEvents() > 0) {
+        active.push_back(Cursor{chunks[next], next, 0});
+      }
+      ++next;
+      continue;
+    }
+    if (best == active.size()) return Status::OK();
+    Cursor& cursor = active[best];
+    ONESQL_RETURN_NOT_OK(visit(cursor.index, cursor.row));
+    if (cursor.chunk->kind == InputChunk::Kind::kRows &&
+        ++cursor.row < cursor.chunk->batch.num_rows) {
+      continue;
+    }
+    active[best] = active.back();
+    active.pop_back();
+  }
+}
 
 /// Per-push failure context for the batch path. Batched operators process a
 /// whole vector before the runtime regains control, so the failing row's
@@ -185,10 +235,10 @@ const BatchFailure& GetBatchFailure();
 /// Groups a scalar event stream into InputChunks: per-source open batches
 /// that close on that source's own watermark (other sources' watermarks do
 /// not cut a run — relative order across sources is preserved through
-/// per-row sequence numbers, which every consumer merges on). Used by the
-/// runtimes' PushBatch compatibility path and the engine's replay; the
-/// engine's hot Feed path runs its own fused validate+append loop with
-/// declared column lanes.
+/// per-row sequence numbers, which every consumer merges on). The engine's
+/// Feed path appends through it with declared column lanes (AddElementTyped);
+/// static-table replay, checkpoint restore and history compaction rebuild
+/// chunk lists with it too.
 class ChunkBuilder {
  public:
   /// Appends into `out`; `first_seq` numbers the events.

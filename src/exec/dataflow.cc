@@ -191,59 +191,6 @@ Result<std::unique_ptr<Dataflow>> Dataflow::Build(plan::QueryPlan plan) {
   return flow;
 }
 
-Status Dataflow::PushChange(const std::string& source, const Change& change) {
-  ONESQL_RETURN_NOT_OK(sink_->AdvanceTo(change.ptime, /*inclusive=*/false));
-  auto it = chain_.sources.find(ToLower(source));
-  if (it == chain_.sources.end()) return Status::OK();
-  for (SourceOperator* op : it->second) {
-    ONESQL_RETURN_NOT_OK(op->OnElement(0, change));
-  }
-  return Status::OK();
-}
-
-Status Dataflow::PushRow(const std::string& source, Timestamp ptime, Row row) {
-  return PushChange(source, Change{ChangeKind::kInsert, std::move(row), ptime});
-}
-
-Status Dataflow::PushDelete(const std::string& source, Timestamp ptime,
-                            Row row) {
-  return PushChange(source, Change{ChangeKind::kDelete, std::move(row), ptime});
-}
-
-Status Dataflow::PushWatermark(const std::string& source, Timestamp ptime,
-                               Timestamp watermark) {
-  ONESQL_RETURN_NOT_OK(sink_->AdvanceTo(ptime, /*inclusive=*/false));
-  auto it = chain_.sources.find(ToLower(source));
-  if (it == chain_.sources.end()) return Status::OK();
-  for (SourceOperator* op : it->second) {
-    ONESQL_RETURN_NOT_OK(op->OnWatermark(0, watermark, ptime));
-  }
-  return Status::OK();
-}
-
-Status Dataflow::PushBatch(const std::vector<InputEvent>& events) {
-  std::vector<InputChunk> chunks;
-  ChunkBuilder builder(&chunks, 0);
-  for (const InputEvent& event : events) {
-    switch (event.kind) {
-      case InputEvent::Kind::kInsert:
-        builder.AddElement(event.source, event.row, +1, event.ptime);
-        break;
-      case InputEvent::Kind::kDelete:
-        builder.AddElement(event.source, event.row, -1, event.ptime);
-        break;
-      case InputEvent::Kind::kWatermark:
-        builder.AddWatermark(event.source, event.watermark, event.ptime);
-        break;
-    }
-  }
-  builder.CloseAll();
-  std::vector<const InputChunk*> refs;
-  refs.reserve(chunks.size());
-  for (const InputChunk& chunk : chunks) refs.push_back(&chunk);
-  return PushChunks(refs);
-}
-
 bool Dataflow::CanPushWholeBatches(
     const std::vector<const InputChunk*>& chunks) const {
   if (chain_.sources.size() != 1) return false;
@@ -295,13 +242,6 @@ Status Dataflow::PushChunksWhole(const std::vector<const InputChunk*>& chunks) {
         ONESQL_RETURN_NOT_OK(op->OnWatermark(0, chunk->watermark,
                                              chunk->ptime));
         break;
-      case InputChunk::Kind::kSingle: {
-        ONESQL_RETURN_NOT_OK(sink_->AdvanceTo(chunk->ptime,
-                                              /*inclusive=*/false));
-        Change change{chunk->event_kind, chunk->row, chunk->ptime};
-        ONESQL_RETURN_NOT_OK(op->OnElement(0, change));
-        break;
-      }
     }
   }
   // Events of unread sources only move the sink's processing-time clock;
@@ -315,92 +255,33 @@ Status Dataflow::PushChunksWhole(const std::vector<const InputChunk*>& chunks) {
 
 Status Dataflow::PushChunksMerged(
     const std::vector<const InputChunk*>& chunks) {
-  // Replay events in exact seq order across chunks. Chunks are ordered by
-  // first event; at any instant at most one open run per source spelling is
-  // live, so a linear scan over the small active set finds the next event.
-  struct Cursor {
-    const InputChunk* chunk;
-    size_t row = 0;  // kRows only
-    const std::vector<SourceOperator*>* ops;  // nullptr: source not read
-  };
-  std::vector<Cursor> active;
-  size_t next = 0;
-  Change scratch;
-  while (true) {
-    size_t best = active.size();
-    uint64_t best_seq = 0;
-    for (size_t i = 0; i < active.size(); ++i) {
-      const Cursor& cursor = active[i];
-      const uint64_t seq = cursor.chunk->kind == InputChunk::Kind::kRows
-                               ? cursor.chunk->batch.seqs[cursor.row]
-                               : cursor.chunk->seq;
-      if (best == active.size() || seq < best_seq) {
-        best = i;
-        best_seq = seq;
-      }
-    }
-    if (next < chunks.size() &&
-        (best == active.size() || chunks[next]->FirstSeq() < best_seq)) {
-      const InputChunk* chunk = chunks[next++];
-      if (chunk->NumEvents() == 0) continue;
-      Cursor cursor;
-      cursor.chunk = chunk;
-      auto it = chain_.sources.find(chunk->source_lower);
-      cursor.ops = it == chain_.sources.end() ? nullptr : &it->second;
-      active.push_back(cursor);
-      continue;
-    }
-    if (best == active.size()) break;
-    Cursor& cursor = active[best];
-    const InputChunk* chunk = cursor.chunk;
-    switch (chunk->kind) {
-      case InputChunk::Kind::kRows: {
-        ONESQL_RETURN_NOT_OK(
-            sink_->AdvanceTo(chunk->batch.ptimes[cursor.row],
-                             /*inclusive=*/false));
-        if (cursor.ops != nullptr) {
-          chunk->batch.MaterializeChange(cursor.row, &scratch);
-          for (SourceOperator* op : *cursor.ops) {
-            ONESQL_RETURN_NOT_OK(op->OnElement(0, scratch));
-          }
-        }
-        ++cursor.row;
-        break;
-      }
-      case InputChunk::Kind::kWatermark:
-        ONESQL_RETURN_NOT_OK(sink_->AdvanceTo(chunk->ptime,
-                                              /*inclusive=*/false));
-        if (cursor.ops != nullptr) {
-          for (SourceOperator* op : *cursor.ops) {
-            ONESQL_RETURN_NOT_OK(op->OnWatermark(0, chunk->watermark,
-                                                 chunk->ptime));
-          }
-        }
-        cursor.row = 1;
-        break;
-      case InputChunk::Kind::kSingle:
-        ONESQL_RETURN_NOT_OK(sink_->AdvanceTo(chunk->ptime,
-                                              /*inclusive=*/false));
-        if (cursor.ops != nullptr) {
-          scratch.kind = chunk->event_kind;
-          scratch.row = chunk->row;
-          scratch.ptime = chunk->ptime;
-          for (SourceOperator* op : *cursor.ops) {
-            ONESQL_RETURN_NOT_OK(op->OnElement(0, scratch));
-          }
-        }
-        cursor.row = 1;
-        break;
-    }
-    const bool done = chunk->kind == InputChunk::Kind::kRows
-                          ? cursor.row >= chunk->batch.num_rows
-                          : cursor.row > 0;
-    if (done) {
-      active[best] = active.back();
-      active.pop_back();
-    }
+  // Replay events in exact seq order across chunks, resolving each chunk's
+  // reading operators once (nullptr: the query does not read that source).
+  std::vector<const std::vector<SourceOperator*>*> ops(chunks.size(), nullptr);
+  for (size_t i = 0; i < chunks.size(); ++i) {
+    auto it = chain_.sources.find(chunks[i]->source_lower);
+    if (it != chain_.sources.end()) ops[i] = &it->second;
   }
-  return Status::OK();
+  Change scratch;
+  return VisitInSeqOrder(chunks, [&](size_t index, size_t row) -> Status {
+    const InputChunk& chunk = *chunks[index];
+    if (chunk.kind == InputChunk::Kind::kWatermark) {
+      ONESQL_RETURN_NOT_OK(sink_->AdvanceTo(chunk.ptime, /*inclusive=*/false));
+      if (ops[index] == nullptr) return Status::OK();
+      for (SourceOperator* op : *ops[index]) {
+        ONESQL_RETURN_NOT_OK(op->OnWatermark(0, chunk.watermark, chunk.ptime));
+      }
+      return Status::OK();
+    }
+    ONESQL_RETURN_NOT_OK(
+        sink_->AdvanceTo(chunk.batch.ptimes[row], /*inclusive=*/false));
+    if (ops[index] == nullptr) return Status::OK();
+    chunk.batch.MaterializeChange(row, &scratch);
+    for (SourceOperator* op : *ops[index]) {
+      ONESQL_RETURN_NOT_OK(op->OnElement(0, scratch));
+    }
+    return Status::OK();
+  });
 }
 
 Status Dataflow::PushChunks(const std::vector<const InputChunk*>& chunks) {

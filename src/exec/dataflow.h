@@ -13,17 +13,6 @@
 namespace onesql {
 namespace exec {
 
-/// One input event for a dataflow runtime: the execution-layer mirror of the
-/// engine's feed events, so batches can be handed to a runtime wholesale.
-struct InputEvent {
-  enum class Kind { kInsert, kDelete, kWatermark };
-  Kind kind = Kind::kInsert;
-  std::string source;
-  Timestamp ptime;
-  Row row;              // kInsert / kDelete
-  Timestamp watermark;  // kWatermark
-};
-
 /// A compiled copy of a query's operator chain (everything upstream of the
 /// materialization sink). The chain holds only const pointers into the
 /// owning QueryPlan, so several copies — one per shard — can share one plan.
@@ -74,31 +63,17 @@ class DataflowRuntime {
  public:
   virtual ~DataflowRuntime() = default;
 
-  /// Pushes an insertion into relation `source` at processing time `ptime`.
-  /// Pushes must arrive in non-decreasing ptime order. Unknown sources are
-  /// ignored (the query does not read them).
-  virtual Status PushRow(const std::string& source, Timestamp ptime,
-                         Row row) = 0;
-
-  /// Pushes a retraction of a previously inserted row.
-  virtual Status PushDelete(const std::string& source, Timestamp ptime,
-                            Row row) = 0;
-
-  /// Advances relation `source`'s watermark at processing time `ptime`.
-  virtual Status PushWatermark(const std::string& source, Timestamp ptime,
-                               Timestamp watermark) = 0;
-
-  /// Pushes a whole batch of events (non-decreasing ptime). The sharded
-  /// runtime dispatches the batch across shards behind one barrier, so
-  /// feeding batches amortizes the per-event synchronization cost.
-  virtual Status PushBatch(const std::vector<InputEvent>& events) = 0;
-
   /// Pushes pre-chunked input: columnar element runs, watermark advances and
   /// singleton events, ordered across chunks by per-event sequence number
-  /// (see ChunkBuilder). This is the batch hot path — single-source chains
-  /// consume whole ChangeBatches through the vectorized operator kernels;
-  /// everything else decomposes back to the scalar per-event delivery in
-  /// exact sequence order, so output bytes are identical either way.
+  /// (see ChunkBuilder). Events must arrive in non-decreasing ptime order,
+  /// within and across calls; events of sources the query does not read only
+  /// move its processing-time clock. This is the only way input enters a
+  /// runtime. Single-source chains consume whole ChangeBatches through the
+  /// vectorized operator kernels; everything else decomposes back to the
+  /// scalar per-event delivery in exact sequence order, so output bytes are
+  /// identical either way. The sharded runtime dispatches the whole push
+  /// across shards behind one barrier, so larger pushes amortize the
+  /// per-push synchronization cost.
   virtual Status PushChunks(const std::vector<const InputChunk*>& chunks) = 0;
 
   /// Advances the processing-time clock to `ptime`, firing all AFTER DELAY
@@ -167,12 +142,6 @@ class Dataflow : public DataflowRuntime {
   /// streaming runtime does not support (e.g. LEFT JOIN).
   static Result<std::unique_ptr<Dataflow>> Build(plan::QueryPlan plan);
 
-  Status PushRow(const std::string& source, Timestamp ptime, Row row) override;
-  Status PushDelete(const std::string& source, Timestamp ptime,
-                    Row row) override;
-  Status PushWatermark(const std::string& source, Timestamp ptime,
-                       Timestamp watermark) override;
-  Status PushBatch(const std::vector<InputEvent>& events) override;
   Status PushChunks(const std::vector<const InputChunk*>& chunks) override;
   Status AdvanceTo(Timestamp ptime) override;
   bool ReadsSource(const std::string& source) const override;
@@ -198,7 +167,6 @@ class Dataflow : public DataflowRuntime {
  private:
   Dataflow() = default;
 
-  Status PushChange(const std::string& source, const Change& change);
   /// True when the chain reads exactly one source through exactly one scan,
   /// and the chunks relevant to it arrive in strictly ascending seq order —
   /// the conditions under which whole batches flow through OnBatch without

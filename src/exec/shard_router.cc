@@ -267,7 +267,8 @@ std::optional<PartitionSpec> ExtractPartitionSpec(
 }
 
 int RouteShard(const PartitionSpec& spec, const std::string& source_lower,
-               const Row& row, uint64_t seq, int num_shards) {
+               const exec::ChangeBatch& batch, size_t i, uint64_t seq,
+               int num_shards) {
   if (num_shards <= 1) return 0;
   if (spec.stateless) {
     return static_cast<int>(seq % static_cast<uint64_t>(num_shards));
@@ -275,22 +276,6 @@ int RouteShard(const PartitionSpec& spec, const std::string& source_lower,
   auto it = spec.source_keys.find(source_lower);
   // A source without a key entry is not read by any keyed operator (or not
   // read at all); its changes are no-ops downstream, so shard 0 is fine.
-  if (it == spec.source_keys.end()) return 0;
-  size_t h = 0;
-  for (size_t col : it->second) {
-    h = h * 1000003 ^ (col < row.size() ? row[col].Hash() : 0);
-  }
-  return static_cast<int>(h % static_cast<size_t>(num_shards));
-}
-
-int RouteShardBatch(const PartitionSpec& spec, const std::string& source_lower,
-                    const exec::ChangeBatch& batch, size_t i, uint64_t seq,
-                    int num_shards) {
-  if (num_shards <= 1) return 0;
-  if (spec.stateless) {
-    return static_cast<int>(seq % static_cast<uint64_t>(num_shards));
-  }
-  auto it = spec.source_keys.find(source_lower);
   if (it == spec.source_keys.end()) return 0;
   size_t h = 0;
   for (size_t col : it->second) {

@@ -63,17 +63,13 @@ struct PartitionSpec {
 /// stacked stateful operators — is marked non-partitionable.
 std::optional<PartitionSpec> ExtractPartitionSpec(const plan::QueryPlan& plan);
 
-/// Routes one change to a shard. `seq` is the change's global sequence
-/// number (used for stateless round-robin routing).
-int RouteShard(const PartitionSpec& spec, const std::string& source_lower,
-               const Row& row, uint64_t seq, int num_shards);
-
-/// RouteShard for row `i` of a columnar batch: hashes the key columns
+/// Routes row `i` of a columnar batch to a shard, hashing the key columns
 /// straight out of the column vectors (ValueAt round-trips exactly, so the
-/// fold equals RouteShard on the materialized row).
-int RouteShardBatch(const PartitionSpec& spec, const std::string& source_lower,
-                    const exec::ChangeBatch& batch, size_t i, uint64_t seq,
-                    int num_shards);
+/// fold equals hashing the materialized row). `seq` is the change's global
+/// sequence number (used for stateless round-robin routing).
+int RouteShard(const PartitionSpec& spec, const std::string& source_lower,
+               const exec::ChangeBatch& batch, size_t i, uint64_t seq,
+               int num_shards);
 
 /// Routes one keyed-operator state key (aggregation group key or join
 /// equi-key tuple) to a shard, folding `spec.state_key_positions` with the

@@ -80,42 +80,6 @@ Result<std::unique_ptr<ShardedDataflow>> ShardedDataflow::Build(
   return flow;
 }
 
-Status ShardedDataflow::PushRow(const std::string& source, Timestamp ptime,
-                                Row row) {
-  InputEvent event;
-  event.kind = InputEvent::Kind::kInsert;
-  event.source = source;
-  event.ptime = ptime;
-  event.row = std::move(row);
-  std::vector<InputEvent> batch;
-  batch.push_back(std::move(event));
-  return PushBatch(batch);
-}
-
-Status ShardedDataflow::PushDelete(const std::string& source, Timestamp ptime,
-                                   Row row) {
-  InputEvent event;
-  event.kind = InputEvent::Kind::kDelete;
-  event.source = source;
-  event.ptime = ptime;
-  event.row = std::move(row);
-  std::vector<InputEvent> batch;
-  batch.push_back(std::move(event));
-  return PushBatch(batch);
-}
-
-Status ShardedDataflow::PushWatermark(const std::string& source,
-                                      Timestamp ptime, Timestamp watermark) {
-  InputEvent event;
-  event.kind = InputEvent::Kind::kWatermark;
-  event.source = source;
-  event.ptime = ptime;
-  event.watermark = watermark;
-  std::vector<InputEvent> batch;
-  batch.push_back(std::move(event));
-  return PushBatch(batch);
-}
-
 void ShardedDataflow::BeginPushEpoch() {
   for (ShardEpochState& st : shard_epoch_) {
     st.status = Status::OK();
@@ -125,11 +89,6 @@ void ShardedDataflow::BeginPushEpoch() {
     st.sub.Clear();
     st.sub_ops = nullptr;
   }
-}
-
-void ShardedDataflow::RunBatchRangeTask(void* ctx, int worker, uint32_t begin,
-                                        uint32_t end) {
-  static_cast<ShardedDataflow*>(ctx)->ProcessBatchRange(worker, begin, end);
 }
 
 void ShardedDataflow::RunChunkRangeTask(void* ctx, int worker, uint32_t begin,
@@ -143,45 +102,6 @@ void ShardedDataflow::RunChunkFlushTask(void* ctx, int worker,
   ShardEpochState& st = self->shard_epoch_[static_cast<size_t>(worker)];
   if (st.failed) return;
   self->FlushShardSub(&st);
-}
-
-void ShardedDataflow::ProcessBatchRange(int s, uint32_t begin, uint32_t end) {
-  ShardEpochState& st = shard_epoch_[static_cast<size_t>(s)];
-  if (st.failed) return;
-  // Worker-side span: one per shard per dispatched slice, recorded into the
-  // worker thread's own ring. Covers this shard's operator-chain processing
-  // of the slice.
-  obs::Span shard_span(trace_, "shard_worker", "dataflow", query_tag_, s);
-  shard_span.set_aux(end - begin);
-  Shard& shard = shards_[static_cast<size_t>(s)];
-  const std::vector<InputEvent>& events = *epoch_events_;
-  const std::vector<std::string>& lower = *epoch_lower_;
-  const std::vector<int>& owner = *epoch_owner_;
-  for (uint32_t i = begin; i < end; ++i) {
-    const InputEvent& event = events[i];
-    const bool is_watermark = event.kind == InputEvent::Kind::kWatermark;
-    if (!is_watermark && owner[i] != s) continue;
-    auto it = shard.chain.sources.find(lower[i]);
-    if (it == shard.chain.sources.end()) continue;
-    shard.capture->set_seq(epoch_base_ + i);
-    for (SourceOperator* op : it->second) {
-      Status status;
-      if (is_watermark) {
-        status = op->OnWatermark(0, event.watermark, event.ptime);
-      } else {
-        const ChangeKind kind = event.kind == InputEvent::Kind::kDelete
-                                    ? ChangeKind::kDelete
-                                    : ChangeKind::kInsert;
-        status = op->OnElement(0, Change{kind, event.row, event.ptime});
-      }
-      if (!status.ok()) {
-        st.status = std::move(status);
-        st.fail_seq = epoch_base_ + i;
-        st.failed = true;
-        return;
-      }
-    }
-  }
 }
 
 void ShardedDataflow::FlushShardSub(ShardEpochState* st) {
@@ -237,7 +157,7 @@ void ShardedDataflow::ProcessChunkRange(int s, uint32_t begin, uint32_t end) {
     if (owner[i] != s) continue;
     auto it = shard.chain.sources.find(chunk->source_lower);
     if (it == shard.chain.sources.end()) continue;
-    if (epoch_batch_scatter_ && chunk->kind == InputChunk::Kind::kRows) {
+    if (epoch_batch_scatter_) {
       if (st.sub_ops != nullptr && st.sub_ops != &it->second) {
         FlushShardSub(&st);
         if (st.failed) return;
@@ -252,13 +172,7 @@ void ShardedDataflow::ProcessChunkRange(int s, uint32_t begin, uint32_t end) {
     if (st.failed) return;
     shard.capture->set_seq(rseq);
     Change change;
-    if (chunk->kind == InputChunk::Kind::kRows) {
-      chunk->batch.MaterializeChange(ref.row, &change);
-    } else {
-      change.kind = chunk->event_kind;
-      change.row = chunk->row;
-      change.ptime = chunk->ptime;
-    }
+    chunk->batch.MaterializeChange(ref.row, &change);
     for (SourceOperator* op : it->second) {
       Status status = op->OnElement(0, change);
       if (!status.ok()) {
@@ -290,8 +204,8 @@ int ShardedDataflow::SelectFailedShard(uint64_t* limit) const {
 }
 
 // Deterministic merge: replay the epoch's input in order, advancing the
-// sink's clock per event exactly as the sequential runtime's PushChange /
-// PushWatermark would, then deliver the capture records attributed to that
+// sink's clock per event exactly as the sequential runtime's per-event
+// delivery would, then deliver the capture records attributed to that
 // event's sequence number. Element outputs live on the owning shard only.
 // Watermark outputs exist identically on every shard (watermarks are
 // broadcast and the partitionable operator set emits no elements on
@@ -330,19 +244,11 @@ Status ShardedDataflow::MergeEpoch(size_t count, uint64_t limit) {
   for (size_t i = 0; i < count; ++i) {
     const uint64_t seq = epoch_base_ + i;
     if (seq > limit) break;
-    bool is_watermark;
-    Timestamp ptime;
-    if (epoch_events_ != nullptr) {
-      const InputEvent& event = (*epoch_events_)[i];
-      is_watermark = event.kind == InputEvent::Kind::kWatermark;
-      ptime = event.ptime;
-    } else {
-      const ChunkRef& ref = (*epoch_refs_)[i];
-      is_watermark = ref.chunk->kind == InputChunk::Kind::kWatermark;
-      ptime = ref.chunk->kind == InputChunk::Kind::kRows
-                  ? ref.chunk->batch.ptimes[ref.row]
-                  : ref.chunk->ptime;
-    }
+    const ChunkRef& ref = (*epoch_refs_)[i];
+    const bool is_watermark = ref.chunk->kind == InputChunk::Kind::kWatermark;
+    const Timestamp ptime = ref.chunk->kind == InputChunk::Kind::kRows
+                                ? ref.chunk->batch.ptimes[ref.row]
+                                : ref.chunk->ptime;
     merge_status = sink_->AdvanceTo(ptime, /*inclusive=*/false);
     if (!merge_status.ok()) break;
     if (seq == limit) {
@@ -365,138 +271,23 @@ Status ShardedDataflow::MergeEpoch(size_t count, uint64_t limit) {
   return merge_status;
 }
 
-Status ShardedDataflow::PushBatch(const std::vector<InputEvent>& events) {
-  if (events.empty()) return Status::OK();
-  obs::Span batch_span(trace_, "push_batch", "dataflow", query_tag_);
-  batch_span.set_aux(events.size());
-  const int num_shards = shard_count();
-  const uint64_t base = next_seq_;
-  next_seq_ += events.size();
-  const uint32_t n = static_cast<uint32_t>(events.size());
-
-  // Routing decisions are made on the caller thread so they are a pure
-  // function of the input order: element events go to the shard owning
-  // their key partition, watermark events to every shard (each shard's
-  // operators keep their own WatermarkMerger, and all mergers see the same
-  // stream, so every shard forwards the same watermark values). The routed
-  // vectors are sized up front — workers only ever read indices of slices
-  // already dispatched, and the backing arrays never reallocate under them.
-  std::vector<std::string> lower(events.size());
-  std::vector<int> owner(events.size(), 0);
-
-  BeginPushEpoch();
-  epoch_events_ = &events;
-  epoch_refs_ = nullptr;
-  epoch_lower_ = &lower;
-  epoch_owner_ = &owner;
-  epoch_base_ = base;
-  const bool inline_run = events.size() <= kInlineEventThreshold;
-
-  {
-    obs::Span route_span(trace_, "route", "dataflow", query_tag_);
-    route_span.set_aux(events.size());
-    for (uint32_t block = 0; block < n; block += kRouteBlockEvents) {
-      const uint32_t block_end = std::min(n, block + kRouteBlockEvents);
-      for (uint32_t i = block; i < block_end; ++i) {
-        lower[i] = ToLower(events[i].source);
-        if (events[i].kind != InputEvent::Kind::kWatermark) {
-          owner[i] = RouteShard(spec_, lower[i], events[i].row, base + i,
-                                num_shards);
-        }
-      }
-      // Pipelining: each routed slice is dispatched immediately, so the
-      // workers chew on slice k while this thread routes slice k+1.
-      if (!inline_run) {
-        pool_->DispatchAll(&RunBatchRangeTask, this, block, block_end);
-      }
-    }
-  }
-  if (inline_run) {
-    for (int s = 0; s < num_shards; ++s) ProcessBatchRange(s, 0, n);
-  } else {
-    // The epoch barrier gives this thread a happens-before edge over
-    // everything the workers wrote, so the merge below reads the capture
-    // buffers and operator state without locks.
-    const uint64_t t0 =
-        query_profile_ != nullptr ? obs::TraceRecorder::NowMicros() : 0;
-    pool_->EndEpoch();
-    if (query_profile_ != nullptr) {
-      query_profile_->shard_wait_us->Record(obs::TraceRecorder::NowMicros() -
-                                            t0);
-    }
-  }
-
-  uint64_t limit = kNoFailure;
-  const int failed_shard = SelectFailedShard(&limit);
-
-  obs::Span merge_span(trace_, "merge", "dataflow", query_tag_);
-  const uint64_t merge_t0 =
-      query_profile_ != nullptr ? obs::TraceRecorder::NowMicros() : 0;
-  Status merge_status = MergeEpoch(events.size(), limit);
-  if (query_profile_ != nullptr) {
-    query_profile_->merge_us->Record(obs::TraceRecorder::NowMicros() -
-                                     merge_t0);
-  }
-  epoch_events_ = nullptr;
-  epoch_lower_ = nullptr;
-  epoch_owner_ = nullptr;
-  if (!merge_status.ok()) return merge_status;
-  if (failed_shard >= 0) {
-    return std::move(shard_epoch_[static_cast<size_t>(failed_shard)].status);
-  }
-  return Status::OK();
-}
-
 Status ShardedDataflow::PushChunks(
     const std::vector<const InputChunk*>& chunks) {
-  // Flatten the chunk list back to one globally seq-ordered event list.
-  // Routing, scatter and merge all walk this list, so the runtime behaves
-  // exactly like PushBatch over the same events — the difference is that
-  // element payloads stay columnar: stateless chains receive whole per-shard
-  // sub-batches through the vectorized kernels, and keyed chains materialize
-  // rows on the owning worker instead of on the caller.
+  // Flatten the chunk list to one globally seq-ordered event list. Routing,
+  // scatter and merge all walk this list, while element payloads stay
+  // columnar: stateless chains receive whole per-shard sub-batches through
+  // the vectorized kernels, and keyed chains materialize rows on the owning
+  // worker instead of on the caller.
   std::vector<ChunkRef> refs;
   {
     size_t total = 0;
     for (const InputChunk* chunk : chunks) total += chunk->NumEvents();
     refs.reserve(total);
-    struct Cursor {
-      const InputChunk* chunk;
-      size_t row = 0;
-    };
-    std::vector<Cursor> active;
-    size_t next = 0;
-    while (true) {
-      size_t best = active.size();
-      uint64_t best_seq = 0;
-      for (size_t i = 0; i < active.size(); ++i) {
-        const Cursor& cursor = active[i];
-        const uint64_t seq = cursor.chunk->kind == InputChunk::Kind::kRows
-                                 ? cursor.chunk->batch.seqs[cursor.row]
-                                 : cursor.chunk->seq;
-        if (best == active.size() || seq < best_seq) {
-          best = i;
-          best_seq = seq;
-        }
-      }
-      if (next < chunks.size() &&
-          (best == active.size() || chunks[next]->FirstSeq() < best_seq)) {
-        const InputChunk* chunk = chunks[next++];
-        if (chunk->NumEvents() > 0) active.push_back(Cursor{chunk, 0});
-        continue;
-      }
-      if (best == active.size()) break;
-      Cursor& cursor = active[best];
-      refs.push_back(ChunkRef{cursor.chunk, static_cast<uint32_t>(cursor.row)});
-      ++cursor.row;
-      const bool done = cursor.chunk->kind != InputChunk::Kind::kRows ||
-                        cursor.row >= cursor.chunk->batch.num_rows;
-      if (done) {
-        active[best] = active.back();
-        active.pop_back();
-      }
-    }
   }
+  (void)VisitInSeqOrder(chunks, [&](size_t index, size_t row) {
+    refs.push_back(ChunkRef{chunks[index], static_cast<uint32_t>(row)});
+    return Status::OK();
+  });
   if (refs.empty()) return Status::OK();
 
   obs::Span batch_span(trace_, "push_batch", "dataflow", query_tag_);
@@ -519,9 +310,7 @@ Status ShardedDataflow::PushChunks(
   std::vector<int> owner(refs.size(), 0);
 
   BeginPushEpoch();
-  epoch_events_ = nullptr;
   epoch_refs_ = &refs;
-  epoch_lower_ = nullptr;
   epoch_owner_ = &owner;
   epoch_base_ = base;
   epoch_batch_scatter_ = batch_scatter;
@@ -534,18 +323,10 @@ Status ShardedDataflow::PushChunks(
       const uint32_t block_end = std::min(n, block + kRouteBlockEvents);
       for (uint32_t i = block; i < block_end; ++i) {
         const ChunkRef& ref = refs[i];
-        switch (ref.chunk->kind) {
-          case InputChunk::Kind::kRows:
-            owner[i] = RouteShardBatch(spec_, ref.chunk->source_lower,
-                                       ref.chunk->batch, ref.row, base + i,
-                                       num_shards);
-            break;
-          case InputChunk::Kind::kSingle:
-            owner[i] = RouteShard(spec_, ref.chunk->source_lower,
-                                  ref.chunk->row, base + i, num_shards);
-            break;
-          case InputChunk::Kind::kWatermark:
-            break;
+        if (ref.chunk->kind == InputChunk::Kind::kRows) {
+          owner[i] = RouteShard(spec_, ref.chunk->source_lower,
+                                ref.chunk->batch, ref.row, base + i,
+                                num_shards);
         }
       }
       if (!inline_run) {
@@ -577,9 +358,9 @@ Status ShardedDataflow::PushChunks(
   uint64_t limit = kNoFailure;
   const int failed_shard = SelectFailedShard(&limit);
 
-  // Deterministic merge, exactly as PushBatch: advance the sink per event,
-  // deliver the owning shard's captures (shard 0's copy for watermarks), and
-  // stop at the earliest failing event.
+  // Deterministic merge: advance the sink per event, deliver the owning
+  // shard's captures (shard 0's copy for watermarks), and stop at the
+  // earliest failing event.
   obs::Span merge_span(trace_, "merge", "dataflow", query_tag_);
   const uint64_t merge_t0 =
       query_profile_ != nullptr ? obs::TraceRecorder::NowMicros() : 0;

@@ -71,12 +71,6 @@ class ShardedDataflow : public DataflowRuntime {
                                                         int shards);
   ~ShardedDataflow() override;
 
-  Status PushRow(const std::string& source, Timestamp ptime, Row row) override;
-  Status PushDelete(const std::string& source, Timestamp ptime,
-                    Row row) override;
-  Status PushWatermark(const std::string& source, Timestamp ptime,
-                       Timestamp watermark) override;
-  Status PushBatch(const std::vector<InputEvent>& events) override;
   Status PushChunks(const std::vector<const InputChunk*>& chunks) override;
   Status AdvanceTo(Timestamp ptime) override;
   bool ReadsSource(const std::string& source) const override;
@@ -114,7 +108,7 @@ class ShardedDataflow : public DataflowRuntime {
   };
 
   /// A position in the flattened chunk list: one input event, living either
-  /// as a row of a columnar chunk or as a scalar/watermark chunk.
+  /// as a row of a columnar chunk or as a watermark chunk.
   struct ChunkRef {
     const InputChunk* chunk = nullptr;
     uint32_t row = 0;  // kRows row index
@@ -144,17 +138,13 @@ class ShardedDataflow : public DataflowRuntime {
   ShardedDataflow() = default;
 
   // WorkerPool task trampolines (ctx is the ShardedDataflow).
-  static void RunBatchRangeTask(void* ctx, int worker, uint32_t begin,
-                                uint32_t end);
   static void RunChunkRangeTask(void* ctx, int worker, uint32_t begin,
                                 uint32_t end);
   static void RunChunkFlushTask(void* ctx, int worker, uint32_t begin,
                                 uint32_t end);
 
-  /// Processes events [begin, end) of the epoch's event list for shard `s`
-  /// (PushBatch mode). No-op once the shard has failed this epoch.
-  void ProcessBatchRange(int s, uint32_t begin, uint32_t end);
-  /// Same for the epoch's flattened chunk-ref list (PushChunks mode).
+  /// Processes events [begin, end) of the epoch's flattened chunk-ref list
+  /// for shard `s`. No-op once the shard has failed this epoch.
   void ProcessChunkRange(int s, uint32_t begin, uint32_t end);
   /// Delivers shard `s`'s accumulated sub-batch to its source operators
   /// (batch-scatter mode); records failure state on error.
@@ -164,8 +154,7 @@ class ShardedDataflow : public DataflowRuntime {
   /// Earliest failing input seq across shards; the deterministic error.
   int SelectFailedShard(uint64_t* limit) const;
   /// The input-order merge into the sink, up to (and at, for elements)
-  /// `limit`. `ptime_at(i)` / `is_watermark_at(i)` abstract over the two
-  /// epoch input shapes.
+  /// `limit`.
   Status MergeEpoch(size_t count, uint64_t limit);
 
   plan::QueryPlan plan_;
@@ -175,12 +164,9 @@ class ShardedDataflow : public DataflowRuntime {
   std::unique_ptr<WorkerPool> pool_;
   uint64_t next_seq_ = 0;
 
-  // Epoch inputs: set by PushBatch/PushChunks before the first dispatch,
-  // read by the workers until the epoch barrier, cleared after the merge.
-  // Exactly one of epoch_events_ / epoch_refs_ is non-null per epoch.
-  const std::vector<InputEvent>* epoch_events_ = nullptr;
+  // Epoch inputs: set by PushChunks before the first dispatch, read by the
+  // workers until the epoch barrier, cleared after the merge.
   const std::vector<ChunkRef>* epoch_refs_ = nullptr;
-  const std::vector<std::string>* epoch_lower_ = nullptr;
   const std::vector<int>* epoch_owner_ = nullptr;
   uint64_t epoch_base_ = 0;
   bool epoch_batch_scatter_ = false;

@@ -134,9 +134,9 @@ struct WalMetrics {
   Counter* bytes_written = nullptr;
   Histogram* append_latency_us = nullptr;
   Histogram* sync_latency_us = nullptr;
-  /// Group commit (DESIGN.md §16): records covered by each fsync, and how
-  /// long a feeder blocked waiting for its group's commit. Zero-valued under
-  /// the synchronous (non-group) WAL mode.
+  /// Group commit (DESIGN.md §16): records covered by each fsync (one
+  /// sample per group, so its count equals `syncs`), and how long a feeder
+  /// blocked waiting for its group's commit.
   Histogram* group_size = nullptr;
   Histogram* group_wait_us = nullptr;
 };

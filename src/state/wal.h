@@ -38,9 +38,10 @@ struct WalRecord {
 
 /// The write-ahead feed log: an append-only file of CRC32-framed WalRecords,
 /// preceded by a magic/version header frame. Every feed event is appended
-/// (and fsync'd at batch boundaries) *before* it is dispatched to running
-/// queries, so a crash loses at most events the caller was never told were
-/// accepted.
+/// and fsync'd *before* it is dispatched to running queries, so a crash
+/// loses at most events the caller was never told were accepted. FeedLog is
+/// the file's writer inside GroupCommitLog (the engine's only durable mode)
+/// and recovery's reader (ReadAll).
 ///
 /// File layout:
 ///
@@ -111,8 +112,8 @@ class FeedLog {
 /// While one fsync is in flight every newly enqueued record accumulates into
 /// the next group, so the fsync cost is amortized across all feeders that
 /// arrived during it — under contention the log pays one fsync per *group*,
-/// not one per feed, while each caller still gets the same guarantee as the
-/// synchronous path: its records are durable before WaitDurable returns.
+/// not one per feed, while each caller's records are still durable before
+/// its WaitDurable returns.
 ///
 /// The file format is exactly FeedLog's; a log written under group commit is
 /// read back by FeedLog::ReadAll / replayed by recovery unchanged, and a

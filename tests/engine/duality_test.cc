@@ -21,12 +21,15 @@
 namespace onesql {
 namespace {
 
+// gtest names each case with a raw byte dump of its DualityParam, so the
+// integer fields come first: a leading pointer would put an address that
+// changes with every run (ASLR) at the front of the printed test name.
 struct DualityParam {
-  const char* name;
-  const char* query;
   uint32_t seed;
   int num_events;
   int max_disorder;  // how far an event may be displaced in arrival order
+  const char* name;
+  const char* query;
 };
 
 constexpr const char* kTumbleMax =
@@ -257,14 +260,14 @@ TEST_P(DualityTest, AfterWatermarkConvergesToSameFinalResult) {
 INSTANTIATE_TEST_SUITE_P(
     Workloads, DualityTest,
     ::testing::Values(
-        DualityParam{"tumble_max_ordered", kTumbleMax, 1, 60, 0},
-        DualityParam{"tumble_max_disorder", kTumbleMax, 2, 60, 8},
-        DualityParam{"tumble_multi_agg", kTumbleMulti, 3, 80, 6},
-        DualityParam{"hop_sum", kHopSum, 4, 60, 5},
-        DualityParam{"filter_project", kFilterProject, 5, 50, 10},
-        DualityParam{"q7_join", kQ7, 6, 40, 4},
-        DualityParam{"q7_join_heavy_disorder", kQ7, 7, 60, 20},
-        DualityParam{"tumble_max_large", kTumbleMax, 8, 300, 15}),
+        DualityParam{1, 60, 0, "tumble_max_ordered", kTumbleMax},
+        DualityParam{2, 60, 8, "tumble_max_disorder", kTumbleMax},
+        DualityParam{3, 80, 6, "tumble_multi_agg", kTumbleMulti},
+        DualityParam{4, 60, 5, "hop_sum", kHopSum},
+        DualityParam{5, 50, 10, "filter_project", kFilterProject},
+        DualityParam{6, 40, 4, "q7_join", kQ7},
+        DualityParam{7, 60, 20, "q7_join_heavy_disorder", kQ7},
+        DualityParam{8, 300, 15, "tumble_max_large", kTumbleMax}),
     [](const auto& info) { return info.param.name; });
 
 }  // namespace

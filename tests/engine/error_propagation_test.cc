@@ -50,7 +50,7 @@ struct Rendering {
 };
 
 /// Runs `sql` over `events` at the given shard count. `batched` pushes the
-/// whole feed through one Engine::Feed call (one PushBatch); otherwise each
+/// whole feed through one Engine::Feed call (one PushChunks); otherwise each
 /// event is dispatched individually.
 Rendering RunFeed(const std::string& sql, const std::vector<FeedEvent>& events,
               int shards, bool batched) {

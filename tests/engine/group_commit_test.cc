@@ -195,6 +195,9 @@ TEST(GroupCommitEngineTest, ConcurrentFeedersMatchLoggedOrderLive) {
   auto q = engine.Execute(kKeyedAgg);
   ASSERT_TRUE(q.ok()) << q.status().ToString();
 
+  // A second log cannot be attached over the live one.
+  EXPECT_FALSE(engine.EnableDurability(dir).ok());
+
   FeedConcurrently(&engine, kThreads, kPerThread, 0);
   ASSERT_EQ(engine.feed_seq(),
             static_cast<uint64_t>(kThreads) * kPerThread);
@@ -220,21 +223,6 @@ TEST(GroupCommitEngineTest, ConcurrentFeedersMatchLoggedOrderLive) {
                   .AdvanceWatermark("Bid", T(kPtimeH, kPtimeM + 1), T(9, 0))
                   .ok());
   ExpectSameRendering(Render(*q), Render(*cq));
-}
-
-TEST(GroupCommitEngineTest, SynchronousModeStillAvailable) {
-  const std::string dir = NewTempDir("gc_sync");
-  Engine engine;
-  ASSERT_TRUE(engine.RegisterStream("Bid", BidSchema()).ok());
-  DurabilityOptions options;
-  options.group_commit = false;
-  ASSERT_TRUE(engine.EnableDurability(dir, options).ok());
-  ASSERT_TRUE(engine.Feed({ThreadBid(0, 0), ThreadBid(0, 1)}).ok());
-  auto records = state::FeedLog::ReadAll(dir + "/feed.wal");
-  ASSERT_TRUE(records.ok());
-  EXPECT_EQ(records->size(), 2u);
-  // Double-enable is rejected in either mode.
-  EXPECT_FALSE(engine.EnableDurability(dir).ok());
 }
 
 }  // namespace

@@ -31,10 +31,32 @@ constexpr const char* kWindowedMaxByWend =
     "FROM Tumble(data => TABLE(Bid), timecol => DESCRIPTOR(bidtime), "
     "dur => INTERVAL '10' MINUTES) t GROUP BY wend";
 
+/// Bid joined to a static table: replay pushes the table's chunks (rows at
+/// the beginning of time, then a +inf watermark) ahead of the history's.
+constexpr const char* kItemJoin =
+    "SELECT Bid.bidtime, Bid.price, Bid.item, Item.category "
+    "FROM Bid, Item WHERE Bid.item = Item.item";
+
 Schema BidSchema() {
   return Schema({{"bidtime", DataType::kTimestamp, true},
                  {"price", DataType::kBigint},
                  {"item", DataType::kVarchar}});
+}
+
+/// The static table every scenario registers: one row per feed item (Bid
+/// items are "item0".."item12"), so kItemJoin matches every bid.
+Schema ItemSchema() {
+  return Schema(
+      {{"item", DataType::kVarchar}, {"category", DataType::kBigint}});
+}
+
+std::vector<Row> ItemRows() {
+  std::vector<Row> rows;
+  for (int i = 0; i < 13; ++i) {
+    rows.push_back({Value::String("item" + std::to_string(i)),
+                    Value::Int64(i % 4)});
+  }
+  return rows;
 }
 
 /// Deterministic pseudo-random feed: many distinct items (so hash routing
@@ -92,13 +114,15 @@ struct RunResult {
 };
 
 /// Runs `sql` at the given shard count over `feed`, either executing before
-/// feeding (live path) or after (history replay / PushBatch path).
+/// feeding (live path) or after (replay path: the static table's chunks, then
+/// the recorded history's chunks).
 RunResult RunBidScenario(const std::string& sql, int shards,
                          const std::vector<FeedEvent>& feed,
                          bool execute_before_feed) {
   RunResult result;
   Engine engine;
   EXPECT_TRUE(engine.RegisterStream("Bid", BidSchema()).ok());
+  EXPECT_TRUE(engine.RegisterTable("Item", ItemSchema(), ItemRows()).ok());
   ExecutionOptions options;
   options.shards = shards;
   ContinuousQuery* query = nullptr;
@@ -136,8 +160,10 @@ void ExpectDeterministicAcrossShardCounts(const std::string& sql,
   const RunResult baseline =
       RunBidScenario(sql, /*shards=*/1, feed, /*execute_before_feed=*/true);
   EXPECT_EQ(baseline.shard_count, 1);
-  for (int shards : {2, 8}) {
+  EXPECT_FALSE(baseline.stream.empty()) << "the scenario must emit rows";
+  for (int shards : {1, 2, 8}) {
     for (bool before : {true, false}) {
+      if (shards == 1 && before) continue;  // the baseline itself
       SCOPED_TRACE("shards=" + std::to_string(shards) +
                    " execute_before_feed=" + std::to_string(before));
       const RunResult run = RunBidScenario(sql, shards, feed, before);
@@ -169,6 +195,14 @@ TEST(ParallelRuntimeTest, StatelessPipelineIsDeterministicAcrossShardCounts) {
   // No keyed state: round-robin dealt across shards, merged back in input
   // order.
   ExpectDeterministicAcrossShardCounts(kStateless, MakeBidFeed(400),
+                                       /*expect_sharded=*/true);
+}
+
+TEST(ParallelRuntimeTest, StaticTableJoinReplayMatchesLivePath) {
+  // Executing after the feed replays the table's chunks and then the
+  // history's chunks as two pushes; the result must match the live path,
+  // where the table replays alone and the feed arrives afterwards.
+  ExpectDeterministicAcrossShardCounts(kItemJoin, MakeBidFeed(400),
                                        /*expect_sharded=*/true);
 }
 

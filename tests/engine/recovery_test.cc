@@ -266,26 +266,25 @@ TEST(RecoveryEquivalenceTest, LargeFeedSampledPrefixes) {
 // loads into a runtime at N shards, for every K x N pair.
 // ---------------------------------------------------------------------------
 
-exec::InputEvent ToInput(const FeedEvent& e) {
-  exec::InputEvent out;
-  out.kind = e.kind == FeedEvent::Kind::kInsert
-                 ? exec::InputEvent::Kind::kInsert
-                 : (e.kind == FeedEvent::Kind::kDelete
-                        ? exec::InputEvent::Kind::kDelete
-                        : exec::InputEvent::Kind::kWatermark);
-  out.source = e.source;
-  out.ptime = e.ptime;
-  out.row = e.row;
-  out.watermark = e.watermark;
-  return out;
-}
-
-std::vector<exec::InputEvent> ToInputs(const std::vector<FeedEvent>& feed,
-                                       size_t begin, size_t end) {
-  std::vector<exec::InputEvent> out;
-  out.reserve(end - begin);
-  for (size_t i = begin; i < end; ++i) out.push_back(ToInput(feed[i]));
-  return out;
+/// Pushes `feed[begin, end)` into `flow` as one chunked push, the only way
+/// input enters a runtime.
+Status PushFeed(exec::DataflowRuntime* flow,
+                const std::vector<FeedEvent>& feed, size_t begin, size_t end) {
+  std::vector<exec::InputChunk> chunks;
+  exec::ChunkBuilder builder(&chunks, 0);
+  for (size_t i = begin; i < end; ++i) {
+    const FeedEvent& e = feed[i];
+    if (e.kind == FeedEvent::Kind::kWatermark) {
+      builder.AddWatermark(e.source, e.watermark, e.ptime);
+    } else {
+      builder.AddElement(e.source, e.row,
+                         e.kind == FeedEvent::Kind::kDelete ? -1 : +1, e.ptime);
+    }
+  }
+  builder.CloseAll();
+  std::vector<const exec::InputChunk*> refs;
+  for (const exec::InputChunk& chunk : chunks) refs.push_back(&chunk);
+  return flow->PushChunks(refs);
 }
 
 std::unique_ptr<exec::DataflowRuntime> BuildRuntime(const std::string& sql,
@@ -318,14 +317,14 @@ TEST(ShardCountChangingRestoreTest, EveryPairOfShardCounts) {
 
   // Reference: sequential, uninterrupted.
   auto reference = BuildRuntime(kKeyedAgg, 1);
-  ASSERT_TRUE(reference->PushBatch(ToInputs(feed, 0, feed.size())).ok());
+  ASSERT_TRUE(PushFeed(reference.get(), feed, 0, feed.size()).ok());
 
   for (int save_shards : {1, 2, 8}) {
     for (int load_shards : {1, 2, 8}) {
       SCOPED_TRACE("save=" + std::to_string(save_shards) +
                    " load=" + std::to_string(load_shards));
       auto saver = BuildRuntime(kKeyedAgg, save_shards);
-      ASSERT_TRUE(saver->PushBatch(ToInputs(feed, 0, half)).ok());
+      ASSERT_TRUE(PushFeed(saver.get(), feed, 0, half).ok());
       state::Writer w;
       ASSERT_TRUE(saver->SaveState(&w).ok());
 
@@ -336,7 +335,7 @@ TEST(ShardCountChangingRestoreTest, EveryPairOfShardCounts) {
       EXPECT_EQ(loader->StateBytes(), saver->StateBytes())
           << "restored state size must not depend on the shard count";
 
-      ASSERT_TRUE(loader->PushBatch(ToInputs(feed, half, feed.size())).ok());
+      ASSERT_TRUE(PushFeed(loader.get(), feed, half, feed.size()).ok());
       ExpectSameEmissions(*loader, *reference);
     }
   }
@@ -345,7 +344,7 @@ TEST(ShardCountChangingRestoreTest, EveryPairOfShardCounts) {
 TEST(ShardCountChangingRestoreTest, DamagedRuntimeBlobIsDataLoss) {
   auto saver = BuildRuntime(kKeyedAgg, 2);
   const std::vector<FeedEvent> feed = PaperFeed();
-  ASSERT_TRUE(saver->PushBatch(ToInputs(feed, 0, feed.size())).ok());
+  ASSERT_TRUE(PushFeed(saver.get(), feed, 0, feed.size()).ok());
   state::Writer w;
   ASSERT_TRUE(saver->SaveState(&w).ok());
   const std::string& bytes = w.buffer();
