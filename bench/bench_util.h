@@ -5,8 +5,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/table_printer.h"
@@ -105,11 +107,49 @@ inline void PrintSection(const std::string& title) {
 // Machine-readable benchmark output
 // ---------------------------------------------------------------------------
 
+/// The machine and build a result came from, stamped into every
+/// BENCH_*.json so tools/bench_compare.py can tell a same-box comparison
+/// from a cross-machine one. Build type, compiler and source directory come
+/// from bench/CMakeLists.txt; the git revision is read at run time (with a
+/// "-dirty" suffix for uncommitted changes), "unknown" outside a checkout.
+struct MachineFingerprint {
+  unsigned nproc = 0;
+  std::string cpu = "unknown";
+  std::string build_type = ONESQL_BENCH_BUILD_TYPE;
+  std::string compiler = ONESQL_BENCH_COMPILER;
+  std::string rev = "unknown";
+
+  static MachineFingerprint Collect() {
+    MachineFingerprint m;
+    m.nproc = std::thread::hardware_concurrency();
+    std::ifstream cpuinfo("/proc/cpuinfo");
+    for (std::string line; std::getline(cpuinfo, line);) {
+      if (line.rfind("model name", 0) != 0) continue;
+      const size_t colon = line.find(':');
+      if (colon != std::string::npos) m.cpu = line.substr(colon + 2);
+      break;
+    }
+    const std::string git = "git -C \"" ONESQL_BENCH_SOURCE_DIR
+                            "\" describe --always --dirty --abbrev=40 "
+                            "2>/dev/null";
+    if (std::FILE* pipe = popen(git.c_str(), "r")) {
+      char buf[128];
+      std::string out;
+      while (std::fgets(buf, sizeof(buf), pipe) != nullptr) out += buf;
+      if (pclose(pipe) == 0 && !out.empty()) {
+        m.rev = out.substr(0, out.find_first_of("\r\n"));
+      }
+    }
+    return m;
+  }
+};
+
 /// Console reporter that additionally collects every measured run and dumps a
-/// compact JSON summary — one record per benchmark instance with p50/p95/p99
-/// per-iteration time across its repetitions (a single repetition collapses
-/// the three to the same value) plus throughput counters when the benchmark
-/// reported them. Keeps the human-readable console table intact.
+/// compact JSON summary — the machine fingerprint, then one record per
+/// benchmark instance with p50/p95/p99 per-iteration time across its
+/// repetitions (a single repetition collapses the three to the same value)
+/// plus throughput counters when the benchmark reported them. Keeps the
+/// human-readable console table intact.
 class JsonBenchReporter : public ::benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& reports) override {
@@ -150,7 +190,14 @@ class JsonBenchReporter : public ::benchmark::ConsoleReporter {
       std::fprintf(stderr, "cannot write %s\n", path.c_str());
       return false;
     }
-    std::fprintf(f, "{\"bench\":\"%s\",\"benchmarks\":[", bench_name.c_str());
+    const MachineFingerprint m = MachineFingerprint::Collect();
+    std::fprintf(f,
+                 "{\"bench\":\"%s\",\"machine\":{\"nproc\":%u,\"cpu\":\"%s\","
+                 "\"build_type\":\"%s\",\"compiler\":\"%s\",\"rev\":\"%s\"},"
+                 "\"benchmarks\":[",
+                 bench_name.c_str(), m.nproc, Escape(m.cpu).c_str(),
+                 Escape(m.build_type).c_str(), Escape(m.compiler).c_str(),
+                 Escape(m.rev).c_str());
     bool first = true;
     for (auto& [name, s] : samples_) {
       std::sort(s.time_ns.begin(), s.time_ns.end());

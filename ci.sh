@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 verification (default build + full ctest suite,
-# including the checkpoint/WAL/fault-injection durability suites), then an
+# including the checkpoint/WAL/fault-injection durability suites), the
+# repository benchmark's self-test, then an
 # ASan/UBSan sweep of the whole suite (the byte-flip and truncation fault
 # injections run under the sanitizers here — damaged files must fail with a
 # clean Status, never UB), then a TSan pass over the threaded
@@ -43,6 +44,13 @@ echo "=== tier 1: default build + full test suite ==="
 run_leg "tier1-configure" cmake -B build -S . -DCMAKE_CXX_FLAGS="${WARN_FLAGS}"
 run_leg "tier1-build" cmake --build build -j"${JOBS}"
 run_leg "tier1-ctest" ctest --test-dir build -j"${JOBS}" --output-on-failure
+
+echo "=== perfbench self-test: the repository benchmark builds and checks itself ==="
+# perfbench/ drives the engine through its own entry points, exec::ChunkBuilder,
+# BuildDataflowRuntime and PushChunks included, so an engine API change that
+# breaks the benchmark's build or its correctness checks fails here. Runs
+# every workload briefly (~25 s on a warm .bench_build/).
+run_leg "perfbench-self-test" python3 perfbench/run.py --self-test
 
 echo "=== perf: bench regression vs checked-in baselines ==="
 # Runs the NEXMark end-to-end bench and the kernel microbenches from the

@@ -206,6 +206,16 @@ std::vector<typename Map::const_iterator> SortedByName(const Map& map) {
   return its;
 }
 
+/// The catalog's declared column types of `def`: the lanes every history
+/// and replay chunk of that source is built on, so a run whose first value
+/// is NULL still gets a typed lane.
+std::vector<DataType> DeclaredTypes(const plan::TableDef& def) {
+  std::vector<DataType> types;
+  types.reserve(def.schema.num_fields());
+  for (const Field& field : def.schema.fields()) types.push_back(field.type);
+  return types;
+}
+
 /// Pointers to `chunks[begin, end)`, the form DataflowRuntime::PushChunks
 /// and exec::VisitInSeqOrder take.
 std::vector<const exec::InputChunk*> ChunkPtrs(
@@ -297,8 +307,10 @@ Result<ContinuousQuery*> Engine::Execute(const std::string& sql,
   for (const auto& it : SortedByName(table_rows_)) {
     const std::string& name = it->first;
     if (!query->flow_->ReadsSource(name)) continue;
+    ONESQL_ASSIGN_OR_RETURN(const plan::TableDef* def, catalog_.Lookup(name));
+    const std::vector<DataType> decl = DeclaredTypes(*def);
     for (const Row& row : it->second) {
-      builder.AddElement(name, row, +1, Timestamp::Min());
+      builder.AddElementTyped(name, &decl, row, +1, Timestamp::Min());
     }
     builder.AddWatermark(name, Timestamp::Max(), Timestamp::Min());
   }
@@ -429,10 +441,7 @@ Status Engine::Feed(const std::vector<FeedEvent>& events) {
     ONESQL_ASSIGN_OR_RETURN(const plan::TableDef* def, catalog_.Lookup(name));
     SourceFeedState state;
     state.def = def;
-    state.decl.reserve(def->schema.num_fields());
-    for (size_t i = 0; i < def->schema.num_fields(); ++i) {
-      state.decl.push_back(def->schema.field(i).type);
-    }
+    state.decl = DeclaredTypes(*def);
     return &sources.emplace(name, std::move(state)).first->second;
   };
 
@@ -624,34 +633,6 @@ Status Engine::Feed(const std::vector<FeedEvent>& events) {
   return deferred;
 }
 
-void Engine::MaterializeHistory(std::vector<HistoryEvent>* out) const {
-  out->clear();
-  out->reserve(history_events_);
-  const std::vector<const exec::InputChunk*> chunks = ChunkPtrs(history_);
-  (void)exec::VisitInSeqOrder(chunks, [&](size_t index, size_t row) {
-    const exec::InputChunk& chunk = *chunks[index];
-    HistoryEvent h;
-    h.event.source = chunk.source;
-    switch (chunk.kind) {
-      case exec::InputChunk::Kind::kRows:
-        h.seq = chunk.batch.seqs[row];
-        h.event.kind = chunk.batch.weights[row] < 0 ? FeedEvent::Kind::kDelete
-                                                    : FeedEvent::Kind::kInsert;
-        h.event.ptime = chunk.batch.ptimes[row];
-        h.event.row = chunk.batch.RowAt(row);
-        break;
-      case exec::InputChunk::Kind::kWatermark:
-        h.seq = chunk.seq;
-        h.event.kind = FeedEvent::Kind::kWatermark;
-        h.event.ptime = chunk.ptime;
-        h.event.watermark = chunk.watermark;
-        break;
-    }
-    out->push_back(std::move(h));
-    return Status::OK();
-  });
-}
-
 void Engine::MaybeCompactHistory() {
   if (history_events_ < compact_at_) return;
   CompactHistory();
@@ -677,59 +658,53 @@ void Engine::CompactHistory() {
   }
   if (floor == Timestamp::Min()) return;  // a query has seen no watermark yet
 
-  std::vector<HistoryEvent> hist;
-  MaterializeHistory(&hist);
-
-  // Keep the last dominated watermark event per source so a replay still
+  // Keep the last dominated watermark per source so a replay still
   // re-establishes the watermark position the running queries reached.
+  // history_ is in first-seq order, and a watermark chunk carries one event,
+  // so the last such chunk per source is the last dominated event.
   std::unordered_map<std::string, size_t> last_dominated;
-  for (size_t i = 0; i < hist.size(); ++i) {
-    const FeedEvent& event = hist[i].event;
-    if (event.kind == FeedEvent::Kind::kWatermark &&
-        event.watermark <= floor) {
-      last_dominated[ToLower(event.source)] = i;
+  for (size_t i = 0; i < history_.size(); ++i) {
+    const exec::InputChunk& chunk = history_[i];
+    if (chunk.kind == exec::InputChunk::Kind::kWatermark &&
+        chunk.watermark <= floor) {
+      last_dominated[chunk.source_lower] = i;
     }
   }
 
-  // Rebuild the chunk list from the kept events, preserving their original
-  // sequence numbers so cross-source merge order is unchanged.
-  std::vector<exec::InputChunk> kept;
-  exec::ChunkBuilder builder(&kept, 0);
+  // Keep the chunks in place, column lanes and seqs untouched. Feed ptimes
+  // are non-decreasing, so a rows chunk's kept events (ptime > floor) are a
+  // suffix of it: chunks wholly at or below the floor go, the run that
+  // straddles it is trimmed to that suffix.
+  size_t kept = 0;
   size_t kept_events = 0;
-  for (size_t i = 0; i < hist.size(); ++i) {
-    const FeedEvent& event = hist[i].event;
-    bool keep = true;
-    switch (event.kind) {
-      case FeedEvent::Kind::kInsert:
-      case FeedEvent::Kind::kDelete:
-        keep = event.ptime > floor;
-        break;
-      case FeedEvent::Kind::kWatermark: {
-        auto it = last_dominated.find(ToLower(event.source));
-        keep = event.watermark > floor ||
-               (it != last_dominated.end() && it->second == i);
-        break;
+  for (size_t i = 0; i < history_.size(); ++i) {
+    exec::InputChunk& chunk = history_[i];
+    if (chunk.kind == exec::InputChunk::Kind::kWatermark) {
+      if (chunk.watermark <= floor &&
+          last_dominated.at(chunk.source_lower) != i) {
+        continue;
       }
+    } else {
+      const std::vector<Timestamp>& ptimes = chunk.batch.ptimes;
+      const size_t below = static_cast<size_t>(
+          std::upper_bound(ptimes.begin(), ptimes.end(), floor) -
+          ptimes.begin());
+      if (below == chunk.batch.num_rows) continue;
+      chunk.batch.ErasePrefix(below);
     }
-    if (!keep) continue;
-    ++kept_events;
-    switch (event.kind) {
-      case FeedEvent::Kind::kInsert:
-        builder.AddElementAt(hist[i].seq, event.source, nullptr, event.row, +1,
-                             event.ptime);
-        break;
-      case FeedEvent::Kind::kDelete:
-        builder.AddElementAt(hist[i].seq, event.source, nullptr, event.row, -1,
-                             event.ptime);
-        break;
-      case FeedEvent::Kind::kWatermark:
-        builder.AddWatermarkAt(hist[i].seq, event.source, event.watermark,
-                               event.ptime);
-        break;
-    }
+    kept_events += chunk.NumEvents();
+    if (kept != i) history_[kept] = std::move(chunk);
+    ++kept;
   }
-  builder.CloseAll();
-  history_ = std::move(kept);
+  history_.erase(history_.begin() + static_cast<std::ptrdiff_t>(kept),
+                 history_.end());
+  // A trimmed run now starts later than chunks that followed it, while
+  // consumers need the list in first-seq order (VisitInSeqOrder opens a
+  // chunk only once its first seq comes up).
+  std::sort(history_.begin(), history_.end(),
+            [](const exec::InputChunk& a, const exec::InputChunk& b) {
+              return a.FirstSeq() < b.FirstSeq();
+            });
   history_events_ = kept_events;
 }
 
@@ -797,11 +772,27 @@ void Engine::SaveEngineSection(state::Writer* w, uint64_t* num_queries) const {
 
   // Retained (possibly compacted) history, replayed into queries executed
   // after the restore. Serialized as the scalar event stream (byte-identical
-  // to the pre-columnar format) in global sequence order.
-  std::vector<HistoryEvent> hist;
-  MaterializeHistory(&hist);
-  w->PutVarint(hist.size());
-  for (const HistoryEvent& h : hist) EncodeFeedEvent(w, h.event);
+  // to the pre-columnar format) in global sequence order, straight from the
+  // chunks through one reused scratch event.
+  w->PutVarint(history_events_);
+  const std::vector<const exec::InputChunk*> chunks = ChunkPtrs(history_);
+  FeedEvent event;
+  (void)exec::VisitInSeqOrder(chunks, [&](size_t index, size_t row) {
+    const exec::InputChunk& chunk = *chunks[index];
+    event.source = chunk.source;
+    if (chunk.kind == exec::InputChunk::Kind::kRows) {
+      event.kind = chunk.batch.weights[row] < 0 ? FeedEvent::Kind::kDelete
+                                                : FeedEvent::Kind::kInsert;
+      event.ptime = chunk.batch.ptimes[row];
+      chunk.batch.MaterializeRow(row, &event.row);
+    } else {
+      event.kind = FeedEvent::Kind::kWatermark;
+      event.ptime = chunk.ptime;
+      event.watermark = chunk.watermark;
+    }
+    EncodeFeedEvent(w, event);
+    return Status::OK();
+  });
 
   *num_queries = queries_.size();
   w->PutVarint(queries_.size());
@@ -898,23 +889,30 @@ Status Engine::LoadEngineSection(state::Reader* r, uint64_t* num_queries,
   if (nhistory > r->remaining()) {
     return Status::DataLoss("impossible history size in checkpoint");
   }
-  // Re-chunk the decoded event stream. Synthetic sequence numbers 0..H-1
-  // preserve the serialized order; they stay below feed_seq_ (compaction
-  // only shrinks the history), so post-restore feeds keep seqs ascending.
+  // Re-chunk the decoded event stream on the catalog's declared lanes, as
+  // Feed built it. Synthetic sequence numbers 0..H-1 preserve the serialized
+  // order; they stay below feed_seq_ (compaction only shrinks the history),
+  // so post-restore feeds keep seqs ascending.
   exec::ChunkBuilder builder(&history_, 0);
+  std::unordered_map<std::string, std::vector<DataType>> decls;
   for (uint64_t i = 0; i < nhistory; ++i) {
     ONESQL_ASSIGN_OR_RETURN(FeedEvent event, DecodeFeedEvent(r));
-    switch (event.kind) {
-      case FeedEvent::Kind::kInsert:
-        builder.AddElement(event.source, event.row, +1, event.ptime);
-        break;
-      case FeedEvent::Kind::kDelete:
-        builder.AddElement(event.source, event.row, -1, event.ptime);
-        break;
-      case FeedEvent::Kind::kWatermark:
-        builder.AddWatermark(event.source, event.watermark, event.ptime);
-        break;
+    if (event.kind == FeedEvent::Kind::kWatermark) {
+      builder.AddWatermark(event.source, event.watermark, event.ptime);
+      continue;
     }
+    auto decl = decls.find(event.source);
+    if (decl == decls.end()) {
+      auto def = catalog_.Lookup(event.source);
+      if (!def.ok()) {
+        return Status::DataLoss("checkpoint history names unknown source '" +
+                                event.source + "'");
+      }
+      decl = decls.emplace(event.source, DeclaredTypes(**def)).first;
+    }
+    builder.AddElementTyped(event.source, &decl->second, event.row,
+                            event.kind == FeedEvent::Kind::kDelete ? -1 : +1,
+                            event.ptime);
   }
   builder.CloseAll();
   history_events_ = nhistory;

@@ -309,13 +309,6 @@ class Engine {
   size_t history_size() const { return history_events_; }
 
  private:
-  /// One retained feed event materialized out of the chunked history,
-  /// tagged with its original sequence number (checkpoint encoding and
-  /// compaction preserve the original inter-event order through it).
-  struct HistoryEvent {
-    uint64_t seq = 0;
-    FeedEvent event;
-  };
   /// Per-feed-call cache of a source's validation state, so the hot loop
   /// resolves the catalog (and the watermark slot) once per source rather
   /// than once per event.
@@ -325,15 +318,17 @@ class Engine {
     Timestamp* watermark = nullptr;     // lazily bound monotonicity slot
   };
 
-  /// Flattens the chunked history back to per-event form, in sequence order.
-  void MaterializeHistory(std::vector<HistoryEvent>* out) const;
   /// Amortized history compaction: triggers when the history doubles past a
   /// floor derived from the running queries' watermarks. Retained invariant:
   /// every event a running query could still accept (above its watermark
   /// minus allowed lateness) survives, plus the last dominated watermark
   /// event per source so replays re-establish the watermark position. With
   /// no queries registered nothing is compacted (the paper's late-executed
-  /// point-in-time SELECTs need the full feed).
+  /// point-in-time SELECTs need the full feed). CompactHistory works on the
+  /// chunks themselves: it drops chunks wholly at or below the floor, trims
+  /// the run that straddles it to its kept suffix, and keeps every other
+  /// chunk as it is (declared lanes and seqs included), then restores
+  /// first-seq order.
   void MaybeCompactHistory();
   void CompactHistory();
 
@@ -382,7 +377,10 @@ class Engine {
   /// event once and dispatches the same chunks to every query, and Execute
   /// replays them into a new query, without re-materializing rows. Chunk
   /// seqs are the events' feed positions (synthetic but order-preserving
-  /// after a checkpoint restore), strictly ascending across the vector.
+  /// after a checkpoint restore); chunks are ordered by first seq. Every
+  /// rows chunk carries its source's declared column lanes, through Feed,
+  /// compaction and Restore alike. Checkpoint encodes it event by event in
+  /// seq order straight from the chunks.
   std::vector<exec::InputChunk> history_;
   /// Number of feed events the chunks carry (chunk count ≠ event count).
   size_t history_events_ = 0;

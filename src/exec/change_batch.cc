@@ -153,6 +153,24 @@ void ColumnVector::Truncate(size_t n) {
   }
 }
 
+namespace {
+/// Erases the first `n` entries of `v` (all of them when it holds fewer:
+/// the lanes a column does not use are empty).
+template <typename T>
+void EraseFront(std::vector<T>* v, size_t n) {
+  v->erase(v->begin(), v->begin() + static_cast<std::ptrdiff_t>(
+                                        std::min(n, v->size())));
+}
+}  // namespace
+
+void ColumnVector::ErasePrefix(size_t n) {
+  EraseFront(&i64_, n);
+  EraseFront(&f64_, n);
+  EraseFront(&b8_, n);
+  EraseFront(&generic_, n);
+  EraseFront(&valid_, n);
+}
+
 Value ColumnVector::ValueAt(size_t i) const {
   if (lane_ == Lane::kGeneric) return generic_[i];
   if (!valid_[i]) return Value::Null();
@@ -265,6 +283,15 @@ void ChangeBatch::PopRow() {
   if (!seqs.empty()) seqs.pop_back();
 }
 
+void ChangeBatch::ErasePrefix(size_t n) {
+  n = std::min(n, num_rows);
+  for (ColumnVector& c : columns) c.ErasePrefix(n);
+  EraseFront(&weights, n);
+  EraseFront(&ptimes, n);
+  EraseFront(&seqs, n);
+  num_rows -= n;
+}
+
 Row ChangeBatch::RowAt(size_t i) const {
   Row out;
   MaterializeRow(i, &out);
@@ -322,44 +349,15 @@ const BatchFailure& GetBatchFailure() { return g_batch_failure; }
 ChunkBuilder::ChunkBuilder(std::vector<InputChunk>* out, uint64_t first_seq)
     : out_(out), next_seq_(first_seq) {}
 
-ChangeBatch* ChunkBuilder::OpenRows(const std::string& source,
-                                    const std::vector<DataType>* decl,
-                                    size_t arity, size_t reserve_hint) {
-  for (const OpenEntry& e : open_) {
-    if (e.source == source) return &(*out_)[e.chunk_index].batch;
-  }
-  out_->emplace_back();
-  InputChunk& chunk = out_->back();
-  chunk.kind = InputChunk::Kind::kRows;
-  chunk.source = source;
-  chunk.source_lower = ToLower(source);
-  if (decl != nullptr) {
-    chunk.batch.ResetForTypes(*decl);
-  } else {
-    chunk.batch.columns.resize(arity);
-    for (ColumnVector& c : chunk.batch.columns) c.Reset(DataType::kNull);
-  }
-  if (reserve_hint > 0) chunk.batch.Reserve(reserve_hint);
-  open_.push_back(OpenEntry{source, chunk.source_lower, out_->size() - 1});
-  return &chunk.batch;
-}
-
 void ChunkBuilder::AddElement(const std::string& source, const Row& row,
                               int8_t weight, Timestamp ptime) {
-  AddElementAt(next_seq_, source, nullptr, row, weight, ptime);
+  AddElementTyped(source, nullptr, row, weight, ptime);
 }
 
 void ChunkBuilder::AddElementTyped(const std::string& source,
                                    const std::vector<DataType>* decl,
                                    const Row& row, int8_t weight,
                                    Timestamp ptime) {
-  AddElementAt(next_seq_, source, decl, row, weight, ptime);
-}
-
-void ChunkBuilder::AddElementAt(uint64_t seq, const std::string& source,
-                                const std::vector<DataType>* decl,
-                                const Row& row, int8_t weight,
-                                Timestamp ptime) {
   ChangeBatch* batch = nullptr;
   for (const OpenEntry& e : open_) {
     if (e.source == source) {
@@ -368,32 +366,32 @@ void ChunkBuilder::AddElementAt(uint64_t seq, const std::string& source,
     }
   }
   if (batch == nullptr) {
+    // Open a new run. With no declared schema, infer column types from the
+    // first row's value tags so the batch starts on typed lanes (NULLs
+    // declare nothing; later tag mismatches demote per column as usual).
+    std::vector<DataType> inferred;
+    if (decl == nullptr) {
+      for (const Value& v : row) inferred.push_back(v.type());
+      decl = &inferred;
+    }
+    out_->emplace_back();
+    InputChunk& chunk = out_->back();
+    chunk.kind = InputChunk::Kind::kRows;
+    chunk.source = source;
+    chunk.source_lower = ToLower(source);
+    chunk.batch.ResetForTypes(*decl);
     // Modest up-front reserve: typical runs between two watermarks of the
     // same source span a handful of rows, and growing every column vector
     // from zero costs several reallocation rounds per chunk.
-    constexpr size_t kOpenReserve = 16;
-    if (decl != nullptr) {
-      batch = OpenRows(source, decl, row.size(), kOpenReserve);
-    } else {
-      // Opening a fresh run with no declared schema: infer column types from
-      // the first row's value tags so the batch starts on typed lanes (NULLs
-      // declare nothing; later tag mismatches demote per column as usual).
-      std::vector<DataType> inferred(row.size(), DataType::kNull);
-      for (size_t c = 0; c < row.size(); ++c) inferred[c] = row[c].type();
-      batch = OpenRows(source, &inferred, row.size(), kOpenReserve);
-    }
+    chunk.batch.Reserve(16);
+    open_.push_back(OpenEntry{source, chunk.source_lower, out_->size() - 1});
+    batch = &chunk.batch;
   }
-  batch->AppendRow(row, weight, ptime, seq);
-  next_seq_ = seq + 1;
+  batch->AppendRow(row, weight, ptime, next_seq_++);
 }
 
 void ChunkBuilder::AddWatermark(const std::string& source, Timestamp watermark,
                                 Timestamp ptime) {
-  AddWatermarkAt(next_seq_, source, watermark, ptime);
-}
-
-void ChunkBuilder::AddWatermarkAt(uint64_t seq, const std::string& source,
-                                  Timestamp watermark, Timestamp ptime) {
   // A watermark orders against this source's elements, so it closes the
   // source's open runs (every spelling of the name). Runs from other sources
   // keep growing: consumers order across chunks by per-row sequence number.
@@ -412,8 +410,7 @@ void ChunkBuilder::AddWatermarkAt(uint64_t seq, const std::string& source,
   chunk.source_lower = lower;
   chunk.watermark = watermark;
   chunk.ptime = ptime;
-  chunk.seq = seq;
-  next_seq_ = seq + 1;
+  chunk.seq = next_seq_++;
 }
 
 void ChunkBuilder::CloseAll() { open_.clear(); }

@@ -56,6 +56,9 @@ class ColumnVector {
   /// a row fails a later validation step).
   void Truncate(size_t n);
 
+  /// Drops the first `n` entries in place; lane and declared type are kept.
+  void ErasePrefix(size_t n);
+
   /// Materializes entry `i` as an exact Value (typed lanes re-wrap through
   /// the declared type; invalid entries yield NULL).
   Value ValueAt(size_t i) const;
@@ -131,6 +134,10 @@ struct ChangeBatch {
 
   /// Drops the last appended row including its weight/ptime/seq.
   void PopRow();
+
+  /// Drops the first `n` rows in place (history compaction trims the run
+  /// that straddles its floor); column lanes and declared types are kept.
+  void ErasePrefix(size_t n);
 
   Row RowAt(size_t i) const;
   void MaterializeRow(size_t i, Row* out) const;
@@ -236,25 +243,18 @@ const BatchFailure& GetBatchFailure();
 /// that close on that source's own watermark (other sources' watermarks do
 /// not cut a run — relative order across sources is preserved through
 /// per-row sequence numbers, which every consumer merges on). The engine's
-/// Feed path appends through it with declared column lanes (AddElementTyped);
-/// static-table replay, checkpoint restore and history compaction rebuild
-/// chunk lists with it too.
+/// Feed path, static-table replay and checkpoint restore append through it
+/// with the catalog's declared column lanes (AddElementTyped); tests and
+/// benches that hold no catalog use the inferring AddElement.
 class ChunkBuilder {
  public:
   /// Appends into `out`; `first_seq` numbers the events.
   ChunkBuilder(std::vector<InputChunk>* out, uint64_t first_seq);
 
-  /// Returns the open batch for `source`, creating a new kRows chunk when
-  /// none is open. `decl` (optional) declares column types for typed lanes;
-  /// when null the chunk starts with generic lanes sized on first append.
-  ChangeBatch* OpenRows(const std::string& source,
-                        const std::vector<DataType>* decl, size_t arity,
-                        size_t reserve_hint);
-
-  /// Appends one element event (convenience over OpenRows + AppendRow).
-  /// Column types are inferred from the first row when opening a run; pass
-  /// `decl` (AddElementTyped) when the declared schema is known — typed
-  /// lanes then survive leading NULLs.
+  /// Appends one element event to `source`'s open run, opening a new kRows
+  /// chunk when none is open. Column types are inferred from the first row
+  /// when opening a run; pass `decl` (AddElementTyped) when the declared
+  /// schema is known — typed lanes then survive leading NULLs.
   void AddElement(const std::string& source, const Row& row, int8_t weight,
                   Timestamp ptime);
   void AddElementTyped(const std::string& source,
@@ -264,15 +264,6 @@ class ChunkBuilder {
   /// Appends a watermark chunk, closing the source's open rows chunk.
   void AddWatermark(const std::string& source, Timestamp watermark,
                     Timestamp ptime);
-
-  /// Explicit-sequence variants, for rebuilding a chunk list whose events
-  /// already carry sequence numbers (history compaction). `seq` values must
-  /// be strictly increasing across calls.
-  void AddElementAt(uint64_t seq, const std::string& source,
-                    const std::vector<DataType>* decl, const Row& row,
-                    int8_t weight, Timestamp ptime);
-  void AddWatermarkAt(uint64_t seq, const std::string& source,
-                      Timestamp watermark, Timestamp ptime);
 
   /// Closes every open rows chunk (end of a push).
   void CloseAll();

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 namespace onesql {
 namespace {
 
@@ -353,6 +357,250 @@ TEST_F(EngineTest, HistoryIsCompactedOnceWatermarksAdvance) {
   EXPECT_EQ((*late)->watermark(), (*q)->watermark());
   // Recent (post-floor) windows are replayed identically.
   EXPECT_FALSE((*late)->CurrentSnapshot()->empty());
+}
+
+// ---------------------------------------------------------------------------
+// Compaction oracle: the kept set is exactly the documented rule's, and a
+// query executed after compaction renders as on a fresh engine fed only the
+// kept events.
+// ---------------------------------------------------------------------------
+
+Schema AskSchema() {
+  return Schema({{"asktime", DataType::kTimestamp, true},
+                 {"price", DataType::kBigint},
+                 {"item", DataType::kVarchar}});
+}
+
+/// Two sources, one of them also fed under a case-variant spelling ("bid",
+/// "BID"), with out-of-order event times, retractions and per-source
+/// watermarks that trail the processing time by 90 s, one event per second.
+std::vector<FeedEvent> TwoSourceFeed(int n) {
+  std::vector<FeedEvent> events;
+  uint64_t state = 11;
+  auto next = [&state] {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return state >> 33;
+  };
+  std::vector<Row> bids;
+  for (int i = 0; i < n; ++i) {
+    const Timestamp ptime = Timestamp(static_cast<int64_t>(i) * 1000);
+    const uint64_t r = next();
+    FeedEvent e;
+    e.ptime = ptime;
+    const Value etime = Value::Time(ptime - Interval::Seconds(r % 60));
+    const Value item = Value::String("item" + std::to_string(r % 400));
+    if (i % 3 == 0) {
+      e.source = "Ask";
+      e.row = {etime, Value::Int64(static_cast<int64_t>(r % 90)), item};
+    } else if (i % 47 == 5 && !bids.empty()) {
+      e.kind = FeedEvent::Kind::kDelete;
+      e.source = "Bid";
+      e.row = bids.back();
+      bids.pop_back();
+    } else {
+      e.source = i % 5 == 1 ? "bid" : "Bid";
+      e.row = {etime, Value::Int64(static_cast<int64_t>(r % 100)), item};
+      bids.push_back(e.row);
+    }
+    events.push_back(std::move(e));
+    if (i % 40 == 39 || i % 55 == 54) {
+      FeedEvent wm;
+      wm.kind = FeedEvent::Kind::kWatermark;
+      wm.source = i % 40 == 39 ? (i % 80 == 79 ? "BID" : "Bid") : "Ask";
+      wm.ptime = ptime;
+      wm.watermark = ptime - Interval::Seconds(90);
+      events.push_back(std::move(wm));
+    }
+  }
+  return events;
+}
+
+/// The documented compaction rule applied to `events[0, cut)` at `floor`:
+/// elements with ptime > floor, watermarks above the floor, and the last
+/// dominated watermark per lower-cased source; `events[cut, end)` (fed
+/// after that compaction) are all kept.
+std::vector<FeedEvent> KeptByRule(const std::vector<FeedEvent>& events,
+                                  size_t cut, Timestamp floor) {
+  std::map<std::string, size_t> last_dominated;
+  for (size_t i = 0; i < cut; ++i) {
+    const FeedEvent& e = events[i];
+    if (e.kind == FeedEvent::Kind::kWatermark && e.watermark <= floor) {
+      last_dominated[ToLower(e.source)] = i;
+    }
+  }
+  std::vector<FeedEvent> kept;
+  for (size_t i = 0; i < events.size(); ++i) {
+    const FeedEvent& e = events[i];
+    bool keep = i >= cut;
+    if (!keep && e.kind == FeedEvent::Kind::kWatermark) {
+      keep = e.watermark > floor || last_dominated[ToLower(e.source)] == i;
+    } else if (!keep) {
+      keep = e.ptime > floor;
+    }
+    if (keep) kept.push_back(e);
+  }
+  return kept;
+}
+
+void ExpectSameStream(ContinuousQuery* got, ContinuousQuery* want) {
+  const std::vector<Row> got_rows = got->StreamRows();
+  const std::vector<Row> want_rows = want->StreamRows();
+  ASSERT_EQ(got_rows.size(), want_rows.size());
+  for (size_t i = 0; i < want_rows.size(); ++i) {
+    ASSERT_TRUE(RowsEqual(got_rows[i], want_rows[i]))
+        << "row " << i << ": got " << RowToString(got_rows[i]) << ", want "
+        << RowToString(want_rows[i]);
+  }
+}
+
+TEST_F(EngineTest, CompactionKeepsExactlyTheRuleAndReplaysLikeAFreshFeed) {
+  ASSERT_TRUE(engine_.RegisterStream("Ask", AskSchema()).ok());
+  // The floor is the lower of the two sources' watermarks.
+  auto run_bid = engine_.Execute(
+      "SELECT item, wend, SUM(price) AS total FROM Tumble(data => TABLE(Bid), "
+      "timecol => DESCRIPTOR(bidtime), dur => INTERVAL '1' MINUTES) t "
+      "GROUP BY item, wend");
+  ASSERT_TRUE(run_bid.ok()) << run_bid.status().ToString();
+  auto run_ask = engine_.Execute(
+      "SELECT wend, MAX(price) AS top FROM Tumble(data => TABLE(Ask), "
+      "timecol => DESCRIPTOR(asktime), dur => INTERVAL '1' MINUTES) t "
+      "GROUP BY wend");
+  ASSERT_TRUE(run_ask.ok()) << run_ask.status().ToString();
+
+  // Fed in 97-event calls, so each call's per-source runs span many ptimes
+  // and the floor (90 s behind the feed) lands inside them.
+  const std::vector<FeedEvent> feed = TwoSourceFeed(20000);
+  constexpr size_t kBatch = 97;
+  size_t cut = 0;
+  Timestamp floor = Timestamp::Min();
+  int compactions = 0;
+  for (size_t begin = 0; begin < feed.size(); begin += kBatch) {
+    const size_t end = std::min(feed.size(), begin + kBatch);
+    const size_t before = engine_.history_size();
+    ASSERT_TRUE(engine_
+                    .Feed(std::vector<FeedEvent>(feed.begin() + begin,
+                                                 feed.begin() + end))
+                    .ok());
+    if (engine_.history_size() == before + (end - begin)) continue;
+    ++compactions;
+    cut = end;
+    floor = std::min((*run_bid)->watermark(), (*run_ask)->watermark());
+  }
+  ASSERT_GE(compactions, 3);
+  // The last floor fell inside a run: one call fed elements of one spelling
+  // on both sides of it with no watermark of that source between them, so
+  // that chunk was trimmed rather than dropped or kept whole.
+  bool floor_inside_a_run = false;
+  for (size_t begin = 0; begin < cut; begin += kBatch) {
+    std::map<std::string, bool> below;  // open runs, by exact spelling
+    for (size_t i = begin; i < std::min(cut, begin + kBatch); ++i) {
+      const FeedEvent& e = feed[i];
+      if (e.kind == FeedEvent::Kind::kWatermark) {
+        for (auto it = below.begin(); it != below.end();) {
+          it = ToLower(it->first) == ToLower(e.source) ? below.erase(it)
+                                                       : std::next(it);
+        }
+      } else if (e.ptime <= floor) {
+        below[e.source] = true;
+      } else if (below.count(e.source) > 0) {
+        floor_inside_a_run = true;
+      }
+    }
+  }
+  EXPECT_TRUE(floor_inside_a_run);
+  const std::vector<FeedEvent> kept = KeptByRule(feed, cut, floor);
+  ASSERT_LT(kept.size(), feed.size() / 2);
+  EXPECT_EQ(engine_.history_size(), kept.size());
+
+  // A fresh engine fed exactly the kept events (no query runs, so nothing
+  // compacts) must render every later query identically.
+  Engine fresh;
+  ASSERT_TRUE(fresh
+                  .RegisterStream(
+                      "Bid", Schema({{"bidtime", DataType::kTimestamp, true},
+                                     {"price", DataType::kBigint},
+                                     {"item", DataType::kVarchar}}))
+                  .ok());
+  ASSERT_TRUE(fresh.RegisterStream("Ask", AskSchema()).ok());
+  ASSERT_TRUE(fresh.Feed(kept).ok());
+  ASSERT_EQ(fresh.history_size(), kept.size());
+
+  const std::vector<std::string> queries = {
+      "SELECT item, wstart, wend, SUM(price) AS total, COUNT(*) AS cnt "
+      "FROM Tumble(data => TABLE(Bid), timecol => DESCRIPTOR(bidtime), "
+      "dur => INTERVAL '1' MINUTES) t GROUP BY item, wend",
+      "SELECT Bid.bidtime, Bid.price, Ask.price AS ask FROM Bid, Ask "
+      "WHERE Bid.item = Ask.item",
+  };
+  for (const std::string& sql : queries) {
+    for (int shards : {1, 2, 8}) {
+      SCOPED_TRACE(sql + " shards=" + std::to_string(shards));
+      ExecutionOptions options;
+      options.shards = shards;
+      auto got = engine_.Execute(sql, options);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      auto want = fresh.Execute(sql, options);
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      ASSERT_FALSE((*want)->StreamRows().empty());
+      ExpectSameStream(*got, *want);
+      EXPECT_EQ((*got)->watermark(), (*want)->watermark());
+    }
+  }
+}
+
+TEST_F(EngineTest, CompactionKeepsSeqOrderAcrossTrimmedRuns) {
+  // Runs of B and C open before the floor and continue after it, so
+  // compaction trims them to start after A's watermark and A's new run,
+  // which sit later in the chunk list. A later query over A and B must
+  // still see A's row before B's.
+  Schema schema({{"t", DataType::kTimestamp, true}, {"k", DataType::kBigint}});
+  for (const char* name : {"A", "B", "C"}) {
+    ASSERT_TRUE(engine_.RegisterStream(name, schema).ok());
+  }
+  auto running = engine_.Execute(
+      "SELECT wend, COUNT(*) AS n FROM Tumble(data => TABLE(A), "
+      "timecol => DESCRIPTOR(t), dur => INTERVAL '1' MINUTES) x GROUP BY wend");
+  ASSERT_TRUE(running.ok()) << running.status().ToString();
+
+  auto row = [](const char* source, int64_t ptime_s, int64_t k) {
+    FeedEvent e;
+    e.source = source;
+    e.ptime = Timestamp(ptime_s * 1000);
+    e.row = {Value::Time(e.ptime), Value::Int64(k)};
+    return e;
+  };
+  std::vector<FeedEvent> feed = {row("B", 100, 1), row("C", 100, 1)};
+  for (int i = 0; i < 4096; ++i) feed.push_back(row("A", 100, 2));
+  FeedEvent mark;
+  mark.kind = FeedEvent::Kind::kWatermark;
+  mark.source = "A";
+  mark.ptime = Timestamp(100 * 1000);
+  mark.watermark = Timestamp(150 * 1000);
+  feed.push_back(mark);
+  const std::vector<FeedEvent> kept = {mark, row("A", 200, 1),
+                                       row("B", 300, 1), row("C", 300, 1)};
+  feed.insert(feed.end(), kept.begin() + 1, kept.end());
+  ASSERT_TRUE(engine_.Feed(feed).ok());
+  ASSERT_EQ(engine_.history_size(), kept.size());
+
+  Engine fresh;
+  for (const char* name : {"A", "B", "C"}) {
+    ASSERT_TRUE(fresh.RegisterStream(name, schema).ok());
+  }
+  ASSERT_TRUE(fresh.Feed(kept).ok());
+  const std::string join =
+      "SELECT A.t, B.t AS bt, A.k FROM A, B WHERE A.k = B.k";
+  for (int shards : {1, 2}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ExecutionOptions options;
+    options.shards = shards;
+    auto got = engine_.Execute(join, options);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    auto want = fresh.Execute(join, options);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    ASSERT_EQ((*want)->StreamRows().size(), 1u);
+    ExpectSameStream(*got, *want);
+  }
 }
 
 TEST_F(EngineTest, HistoryIsKeptWhenNoQueriesRun) {

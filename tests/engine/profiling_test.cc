@@ -140,6 +140,30 @@ TEST(KernelPathTest, NullHeavyChunksStayVectorized) {
             5u);
 }
 
+TEST(KernelPathTest, StaticTableReplayUsesDeclaredLanes) {
+  // A static table is replayed into each query on its declared column
+  // lanes: a column whose first value is NULL still filters vectorized.
+  Engine engine;
+  std::vector<Row> rows;
+  for (int i = 0; i < 8; ++i) {
+    rows.push_back({Value::String("item" + std::to_string(i)),
+                    i == 0 ? Value::Null() : Value::Int64(i)});
+  }
+  ASSERT_TRUE(engine
+                  .RegisterTable("Item",
+                                 Schema({{"item", DataType::kVarchar},
+                                         {"reserve", DataType::kBigint}}),
+                                 rows)
+                  .ok());
+  ASSERT_TRUE(engine.EnableObservability(Profiling()).ok());
+  auto q = engine.Execute("SELECT item FROM Item WHERE reserve > 3");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  const obs::MetricsSnapshot snap = engine.MetricsSnapshot();
+  EXPECT_EQ(KernelRows(snap, "filter", "vectorized"), 8u);
+  EXPECT_EQ(KernelRows(snap, "filter", "scalar"), 0u);
+  EXPECT_EQ((*q)->CurrentSnapshot()->size(), 4u);
+}
+
 TEST(KernelPathTest, RetractionDenseChunksStayVectorized) {
   // Kernel dispatch is change-kind-agnostic: a feed that retracts every
   // other row still evaluates fully vectorized, retractions included.

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -67,8 +68,9 @@ std::vector<FeedEvent> PaperFeed() {
 }
 
 /// A larger deterministic feed: many distinct items (so hash routing spreads
-/// work), out-of-order event times, retractions, periodic watermarks.
-std::vector<FeedEvent> BigFeed(int n) {
+/// work), out-of-order event times, retractions, periodic watermarks. Each
+/// retraction picks one of the `recent` latest live inserts.
+std::vector<FeedEvent> BigFeed(int n, size_t recent = SIZE_MAX) {
   std::vector<FeedEvent> events;
   uint64_t state = 7;
   auto next = [&state] {
@@ -84,7 +86,8 @@ std::vector<FeedEvent> BigFeed(int n) {
       e.kind = FeedEvent::Kind::kDelete;
       e.source = "Bid";
       e.ptime = ptime;
-      const size_t pick = next() % inserted.size();
+      const size_t window = std::min(inserted.size(), recent);
+      const size_t pick = inserted.size() - window + next() % window;
       e.row = inserted[pick];
       inserted[pick] = inserted.back();
       inserted.pop_back();
@@ -564,6 +567,151 @@ TEST(RecoveryTest, RestoredEngineEnforcesPtimeOrder) {
                           {Value::Time(T(8, 29)), Value::Int64(1),
                            Value::String("X")})
                   .ok());
+}
+
+// ---------------------------------------------------------------------------
+// Restore after history compaction, and the history's column lanes across
+// Restore.
+// ---------------------------------------------------------------------------
+
+/// Feeds `feed[begin, end)` in 97-event calls, so per-source runs span many
+/// ptimes and compaction floors land inside them.
+void FeedInCalls(Engine* engine, const std::vector<FeedEvent>& feed,
+                 size_t begin, size_t end) {
+  for (size_t i = begin; i < end; i += 97) {
+    const size_t stop = std::min(end, i + 97);
+    ASSERT_TRUE(engine
+                    ->Feed(std::vector<FeedEvent>(feed.begin() + i,
+                                                  feed.begin() + stop))
+                    .ok());
+  }
+}
+
+std::string CheckpointBytes(const std::string& dir) {
+  auto bytes = state::ReadFileToString(dir + "/checkpoint.osql");
+  EXPECT_TRUE(bytes.ok()) << bytes.status().ToString();
+  return bytes.ok() ? *bytes : std::string();
+}
+
+TEST(RecoveryTest, CheckpointAfterCompactionRoundTrips) {
+  // Retractions stay close to their inserts: compaction keeps a retraction
+  // whose insert fell below the floor, and a query executed later would
+  // reject it.
+  const std::vector<FeedEvent> feed = BigFeed(6000, 8);
+  // Cut mid-run: the checkpoint falls between two elements of one run.
+  size_t cut = feed.size() * 3 / 4;
+  while (feed[cut - 1].kind == FeedEvent::Kind::kWatermark ||
+         feed[cut].kind == FeedEvent::Kind::kWatermark) {
+    ++cut;
+  }
+  const Timestamp at = feed[cut - 1].ptime;
+
+  // One shard: a sharded aggregation's late-drop counters are summed into
+  // the primary shard on restore, so only its total (not its bytes) would
+  // round-trip.
+  ExecutionOptions sequential;
+  sequential.shards = 1;
+  Engine live;
+  ASSERT_TRUE(live.RegisterStream("Bid", BidSchema()).ok());
+  ASSERT_TRUE(live.Execute(kKeyedAgg, sequential).ok());
+  FeedInCalls(&live, feed, 0, cut);
+  ASSERT_LT(live.history_size(), cut / 2);  // compacted at least once
+
+  const std::string dir = NewTempDir("compacted");
+  ASSERT_TRUE(live.Checkpoint(dir).ok());
+  Engine restored;
+  ASSERT_TRUE(restored.Restore(dir).ok());
+  EXPECT_EQ(restored.history_size(), live.history_size());
+
+  // Checkpoint -> Restore -> Checkpoint is byte-identical.
+  const std::string again = NewTempDir("compacted_again");
+  ASSERT_TRUE(restored.Checkpoint(again).ok());
+  const std::string first_bytes = CheckpointBytes(dir);
+  ASSERT_FALSE(first_bytes.empty());
+  EXPECT_TRUE(first_bytes == CheckpointBytes(again));
+
+  // A query executed now replays the compacted history: identical on the
+  // restored and the uninterrupted engine.
+  auto late_live = live.Execute(kKeyedAggAfterWatermark, sequential);
+  ASSERT_TRUE(late_live.ok()) << late_live.status().ToString();
+  auto late_restored = restored.Execute(kKeyedAggAfterWatermark, sequential);
+  ASSERT_TRUE(late_restored.ok()) << late_restored.status().ToString();
+  ASSERT_FALSE((*late_live)->StreamRows().empty());
+  ExpectSameRendering(Render(*late_restored, at), Render(*late_live, at));
+
+  // Both keep feeding and compacting (the restored history carries
+  // synthetic seqs), and still agree, down to their checkpoint bytes.
+  FeedInCalls(&live, feed, cut, feed.size());
+  FeedInCalls(&restored, feed, cut, feed.size());
+  EXPECT_EQ(restored.history_size(), live.history_size());
+  const Timestamp end = feed.back().ptime;
+  for (size_t i = 0; i < live.num_queries(); ++i) {
+    SCOPED_TRACE("query " + std::to_string(i));
+    ExpectSameRendering(Render(restored.query(i), end),
+                        Render(live.query(i), end));
+  }
+  const std::string live_dir = NewTempDir("compacted_live");
+  const std::string restored_dir = NewTempDir("compacted_restored");
+  ASSERT_TRUE(live.Checkpoint(live_dir).ok());
+  ASSERT_TRUE(restored.Checkpoint(restored_dir).ok());
+  EXPECT_TRUE(CheckpointBytes(live_dir) == CheckpointBytes(restored_dir));
+}
+
+/// Per kernel line of an EXPLAIN ANALYZE rendering, the vectorized and
+/// scalar row counts ("vectorized=V scalar=S").
+std::vector<std::string> KernelRowCounts(const std::string& explain) {
+  std::vector<std::string> out;
+  const std::string marker = "[kernel vectorized=";
+  size_t pos = 0;
+  while ((pos = explain.find(marker, pos)) != std::string::npos) {
+    const size_t vec = pos + std::string("[kernel ").size();
+    const size_t scalar = explain.find("scalar=", vec);
+    out.push_back(explain.substr(vec, explain.find(' ', vec) - vec) + " " +
+                  explain.substr(scalar, explain.find(' ', scalar) - scalar));
+    pos = scalar;
+  }
+  return out;
+}
+
+TEST(RecoveryTest, RestoredHistoryKeepsDeclaredLanes) {
+  // Every run of Bid starts with a NULL price. Feed builds the history on
+  // the declared BIGINT lane, and Restore must too: a query executed after
+  // Restore takes the same kernel paths as on the uninterrupted engine
+  // (a lane inferred from the leading NULL would send it down the scalar
+  // path).
+  std::vector<FeedEvent> feed;
+  for (int i = 1; i <= 12; ++i) {
+    FeedEvent e = BidInsert(T(9, i), T(9, i), i, "item");
+    if (i % 4 == 1) e.row[1] = Value::Null();
+    feed.push_back(std::move(e));
+    if (i % 4 == 0) feed.push_back(BidWatermark(T(9, i), T(9, i - 1)));
+  }
+  const std::string dir = NewTempDir("lanes");
+  Engine live;
+  ASSERT_TRUE(live.RegisterStream("Bid", BidSchema()).ok());
+  ASSERT_TRUE(live.Feed(feed).ok());
+  ASSERT_TRUE(live.Checkpoint(dir).ok());
+  Engine restored;
+  ASSERT_TRUE(restored.Restore(dir).ok());
+
+  auto kernel_rows = [](Engine* engine) {
+    obs::ObsOptions options;
+    options.metrics = true;
+    options.profiling = true;
+    EXPECT_TRUE(engine->EnableObservability(options).ok());
+    auto q = engine->Execute(
+        "SELECT bidtime, price * 2 AS p2 FROM Bid WHERE price >= 3");
+    EXPECT_TRUE(q.ok()) << q.status().ToString();
+    auto analysis = engine->ExplainAnalyze(*q);
+    EXPECT_TRUE(analysis.ok()) << analysis.status().ToString();
+    return KernelRowCounts(analysis.ok() ? analysis->text : "");
+  };
+  const std::vector<std::string> want = kernel_rows(&live);
+  ASSERT_FALSE(want.empty());
+  for (const std::string& counts : want) {
+    EXPECT_EQ(counts.substr(counts.find(' ')), " scalar=0");
+  }
+  EXPECT_EQ(kernel_rows(&restored), want);
 }
 
 // ---------------------------------------------------------------------------

@@ -147,19 +147,53 @@ TEST(ChunkBuilderTest, OwnSourceWatermarkClosesRunOtherSourceDoesNot) {
   EXPECT_EQ(chunks[0].MaxPtime(), Timestamp(4));
 }
 
-TEST(ChunkBuilderTest, ExplicitSeqVariantsPreserveGivenNumbers) {
+TEST(ChunkBuilderTest, FirstSeqNumbersEventsConsecutively) {
+  // A builder appending after an existing feed position (the engine's Feed
+  // starts at feed_seq) numbers every event, element or watermark, from that
+  // position on, across the chunks it opens.
   std::vector<InputChunk> chunks;
-  ChunkBuilder builder(&chunks, 0);
+  ChunkBuilder builder(&chunks, 10);
   const Row row = {Value::Int64(1)};
-  builder.AddElementAt(10, "S", nullptr, row, +1, Timestamp(1));
-  builder.AddWatermarkAt(12, "S", Timestamp(9), Timestamp(2));
-  builder.AddElementAt(40, "S", nullptr, row, +1, Timestamp(3));
+  builder.AddElement("S", row, +1, Timestamp(1));
+  builder.AddWatermark("S", Timestamp(9), Timestamp(2));
+  builder.AddElement("S", row, +1, Timestamp(3));
+  builder.AddElement("S", row, -1, Timestamp(3));
   builder.CloseAll();
   ASSERT_EQ(chunks.size(), 3u);
   EXPECT_EQ(chunks[0].batch.seqs, (std::vector<uint64_t>{10}));
-  EXPECT_EQ(chunks[1].seq, 12u);
-  EXPECT_EQ(chunks[2].batch.seqs, (std::vector<uint64_t>{40}));
-  EXPECT_EQ(builder.next_seq(), 41u);
+  EXPECT_EQ(chunks[1].seq, 11u);
+  EXPECT_EQ(chunks[2].batch.seqs, (std::vector<uint64_t>{12, 13}));
+  EXPECT_EQ(builder.next_seq(), 14u);
+}
+
+TEST(ChangeBatchTest, ErasePrefixKeepsLanesAndSuffix) {
+  ChangeBatch batch;
+  batch.ResetForTypes({DataType::kBigint, DataType::kDouble,
+                       DataType::kBoolean, DataType::kVarchar});
+  for (int64_t i = 0; i < 5; ++i) {
+    batch.AppendRow(
+        {i == 0 ? Value::Null() : Value::Int64(i),
+         Value::Double(0.5 * static_cast<double>(i)), Value::Bool(i % 2 == 0),
+         Value::String("s" + std::to_string(i))},
+        i % 2 == 0 ? +1 : -1, Timestamp(i), static_cast<uint64_t>(i));
+  }
+  const ChangeBatch full = batch;
+  batch.ErasePrefix(3);
+  ASSERT_EQ(batch.num_rows, 2u);
+  EXPECT_EQ(batch.columns[0].lane(), ColumnVector::Lane::kI64);
+  EXPECT_EQ(batch.columns[1].lane(), ColumnVector::Lane::kF64);
+  EXPECT_EQ(batch.columns[2].lane(), ColumnVector::Lane::kBool);
+  EXPECT_EQ(batch.columns[3].lane(), ColumnVector::Lane::kGeneric);
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_TRUE(RowsEqual(batch.RowAt(i), full.RowAt(i + 3))) << i;
+    EXPECT_EQ(batch.weights[i], full.weights[i + 3]);
+    EXPECT_EQ(batch.ptimes[i], full.ptimes[i + 3]);
+    EXPECT_EQ(batch.seqs[i], full.seqs[i + 3]);
+  }
+  batch.ErasePrefix(2);
+  EXPECT_EQ(batch.num_rows, 0u);
+  EXPECT_EQ(batch.columns[0].size(), 0u);
+  EXPECT_EQ(batch.columns[0].lane(), ColumnVector::Lane::kI64);
 }
 
 // ---------------------------------------------------------------------------

@@ -23,6 +23,12 @@ An empty "benchmarks" array on either side is a hard error: that is how a
 broken baseline silently disarms the comparison (bench_util.h now refuses to
 write one, and this guard catches files that predate that check).
 
+Each pair first prints both sides' machine fingerprints (bench_util.h stamps
+nproc, CPU model, build type, compiler and git rev as "machine"). When the
+nproc or CPU model differ, or a side carries no fingerprint, the pair is
+labelled "cross-machine": its ratios then mix a machine difference into the
+code difference. The label informs; it changes no threshold.
+
 Thresholds are deliberately loose: CI boxes for this repo are single-core
 and noisy, so the leg locks in order-of-magnitude wins, not percent-level
 ones.
@@ -40,6 +46,10 @@ def throughput(entry):
     return 1e9 / p50 if p50 > 0 else 0.0
 
 
+MACHINE_KEYS = ("nproc", "cpu")
+FINGERPRINT_KEYS = MACHINE_KEYS + ("build_type", "compiler", "rev")
+
+
 def load(path):
     with open(path) as f:
         doc = json.load(f)
@@ -47,7 +57,21 @@ def load(path):
     if not benches:
         print(f"bench_compare: {path} holds zero benchmark entries", file=sys.stderr)
         sys.exit(2)
-    return {e["name"]: e for e in benches}
+    return {e["name"]: e for e in benches}, doc.get("machine")
+
+
+def describe(machine):
+    if not machine:
+        return "no fingerprint"
+    return ", ".join(f"{k}={machine.get(k, '?')}" for k in FINGERPRINT_KEYS)
+
+
+def report_machines(base_machine, cur_machine):
+    print(f"  baseline: {describe(base_machine)}")
+    print(f"  current:  {describe(cur_machine)}")
+    same = bool(base_machine) and bool(cur_machine) and all(
+        base_machine.get(k) == cur_machine.get(k) for k in MACHINE_KEYS)
+    print("  comparison: " + ("same-machine" if same else "cross-machine"))
 
 
 def compare_pair(baseline, current, warn_ratio, fail_ratio):
@@ -87,10 +111,11 @@ def main(argv):
 
     failures = warnings = 0
     for base_path, cur_path in zip(args[0::2], args[1::2]):
-        if len(args) > 2:
-            print(f"== {base_path} vs {cur_path}")
-        f, w = compare_pair(load(base_path), load(cur_path),
-                            warn_ratio, fail_ratio)
+        print(f"== {base_path} vs {cur_path}")
+        baseline, base_machine = load(base_path)
+        current, cur_machine = load(cur_path)
+        report_machines(base_machine, cur_machine)
+        f, w = compare_pair(baseline, current, warn_ratio, fail_ratio)
         failures += f
         warnings += w
 
