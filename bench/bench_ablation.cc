@@ -61,8 +61,8 @@ void StripPurges(plan::LogicalNode* node) {
   }
 }
 
-std::unique_ptr<exec::Dataflow> BuildVariant(const plan::Catalog& catalog,
-                                             Variant variant) {
+std::unique_ptr<exec::DataflowRuntime> BuildVariant(
+    const plan::Catalog& catalog, Variant variant) {
   auto stmt = sql::Parser::Parse(PaperQ7());
   if (!stmt.ok()) std::abort();
   plan::Binder binder(&catalog);
@@ -72,7 +72,7 @@ std::unique_ptr<exec::Dataflow> BuildVariant(const plan::Catalog& catalog,
     if (!plan::Optimizer::Optimize(&*plan).ok()) std::abort();
     if (variant == Variant::kNoPurge) StripPurges(plan->root.get());
   }
-  auto flow = exec::Dataflow::Build(std::move(*plan));
+  auto flow = exec::BuildDataflowRuntime(std::move(*plan), /*shards=*/1);
   if (!flow.ok()) std::abort();
   return std::move(*flow);
 }

@@ -133,10 +133,11 @@ run_leg "tsan-build" cmake --build build-tsan -j"${JOBS}" \
   observability_test server_test state_test
 run_leg "tsan-engine" ./build-tsan/tests/engine_test \
   --gtest_filter='ParallelRuntimeTest.*:EngineTest.*:SpscQueueTest.*'
-# The sharded restore path: SaveState/LoadState across worker threads, and
-# recovery-equivalence at N ∈ {1, 2, 8}.
+# The sharded restore path: SaveState/LoadState across worker threads,
+# recovery-equivalence at N ∈ {1, 2, 8}, and byte-identical
+# Checkpoint -> Restore -> Checkpoint at 2 and 8 shards.
 run_leg "tsan-recovery" ./build-tsan/tests/recovery_test \
-  --gtest_filter='RecoveryEquivalenceTest.*:ShardCountChangingRestoreTest.*'
+  --gtest_filter='RecoveryEquivalenceTest.*:ShardCountChangingRestoreTest.*:CheckpointRoundTripTest.*'
 # Group commit under real contention: N feeder threads racing the engine
 # feed lock, the dispatch turnstile, and the WAL appender thread — plus the
 # multi-producer log test at the state layer.

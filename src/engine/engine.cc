@@ -5,7 +5,6 @@
 #include <unordered_map>
 
 #include "exec/expr_eval.h"
-#include "exec/sharded_dataflow.h"
 #include "plan/binder.h"
 #include "plan/optimizer.h"
 #include "sql/parser.h"
@@ -50,8 +49,7 @@ Result<std::vector<Change>> ContinuousQuery::UpsertStream() const {
   Changelog retractions;
   retractions.reserve(Emissions().size());
   for (const exec::Emission& e : Emissions()) {
-    retractions.push_back(Change{
-        e.undo ? ChangeKind::kDelete : ChangeKind::kInsert, e.row, e.ptime});
+    retractions.push_back(Change{e.kind(), e.row, e.ptime});
   }
   return tvr::EncodeUpsertStream(retractions, keys);
 }

@@ -1,13 +1,11 @@
 // EXPLAIN ANALYZE: renders a running query's logical plan annotated with its
-// live metrics. The plan tree is walked in exactly the order CompileChain
-// builds operators (pre-order; join: left then right), with the same
-// occurrence-suffixing CompiledChain::AttachObs applies, so every plan node
-// resolves to the instrument bundle its operator (and all shard copies of it)
-// publishes under.
+// live metrics. It walks the record CompileChain keeps per operator (plan
+// node, `op` label, inputs), the same one CompiledChain::AttachObs labels
+// instruments from, so every plan node resolves to the instrument bundle its
+// operator (and all shard copies of it) publishes under.
 
 #include <sstream>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "engine/engine.h"
@@ -17,88 +15,16 @@
 namespace onesql {
 namespace {
 
-/// The Operator::Name() the runtime gives this plan node's operator.
-const char* OpName(const plan::LogicalNode& node) {
-  switch (node.kind()) {
-    case plan::LogicalNode::Kind::kScan:
-      return "source";
-    case plan::LogicalNode::Kind::kFilter:
-      return "filter";
-    case plan::LogicalNode::Kind::kProject:
-      return "project";
-    case plan::LogicalNode::Kind::kWindow:
-      return static_cast<const plan::WindowNode&>(node).window_kind() ==
-                     plan::WindowKind::kSession
-                 ? "session"
-                 : "window";
-    case plan::LogicalNode::Kind::kAggregate:
-      return "aggregate";
-    case plan::LogicalNode::Kind::kTemporalFilter:
-      return "temporal_filter";
-    case plan::LogicalNode::Kind::kJoin:
-      return "join";
+using ChainNode = exec::CompiledChain::Node;
+
+/// Each chain position's depth in the plan tree. Chain order is pre-order,
+/// so every operator comes before its inputs.
+std::vector<int> Depths(const std::vector<ChainNode>& nodes) {
+  std::vector<int> depth(nodes.size(), 0);
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    for (size_t input : nodes[i].inputs) depth[input] = depth[i] + 1;
   }
-  return "?";
-}
-
-struct NodeEntry {
-  const plan::LogicalNode* node = nullptr;
-  std::string op;  ///< Metric `op` label (Name() + occurrence suffix).
-  int depth = 0;
-  std::vector<size_t> children;  ///< Indexes into the entry vector.
-};
-
-/// Pre-order walk mirroring dataflow.cc's BuildNode: the operator for a node
-/// is pushed before its input(s) are compiled, so entry order here is chain
-/// order there, and the occurrence suffixes line up with AttachObs.
-size_t Walk(const plan::LogicalNode& node, int depth,
-            std::unordered_map<std::string, int>* seen,
-            std::vector<NodeEntry>* out) {
-  const size_t index = out->size();
-  out->emplace_back();
-  (*out)[index].node = &node;
-  (*out)[index].depth = depth;
-  std::string label = OpName(node);
-  const int occurrence = ++(*seen)[label];
-  if (occurrence > 1) label += "_" + std::to_string(occurrence);
-  (*out)[index].op = std::move(label);
-
-  std::vector<size_t> children;
-  switch (node.kind()) {
-    case plan::LogicalNode::Kind::kScan:
-      break;
-    case plan::LogicalNode::Kind::kFilter:
-      children.push_back(Walk(static_cast<const plan::FilterNode&>(node).input(),
-                              depth + 1, seen, out));
-      break;
-    case plan::LogicalNode::Kind::kProject:
-      children.push_back(
-          Walk(static_cast<const plan::ProjectNode&>(node).input(), depth + 1,
-               seen, out));
-      break;
-    case plan::LogicalNode::Kind::kWindow:
-      children.push_back(Walk(static_cast<const plan::WindowNode&>(node).input(),
-                              depth + 1, seen, out));
-      break;
-    case plan::LogicalNode::Kind::kAggregate:
-      children.push_back(
-          Walk(static_cast<const plan::AggregateNode&>(node).input(), depth + 1,
-               seen, out));
-      break;
-    case plan::LogicalNode::Kind::kTemporalFilter:
-      children.push_back(
-          Walk(static_cast<const plan::TemporalFilterNode&>(node).input(),
-               depth + 1, seen, out));
-      break;
-    case plan::LogicalNode::Kind::kJoin: {
-      const auto& join = static_cast<const plan::JoinNode&>(node);
-      children.push_back(Walk(join.left(), depth + 1, seen, out));
-      children.push_back(Walk(join.right(), depth + 1, seen, out));
-      break;
-    }
-  }
-  (*out)[index].children = std::move(children);
-  return index;
+  return depth;
 }
 
 /// The node's own EXPLAIN line (ToString prints itself, then its inputs).
@@ -205,15 +131,15 @@ void AppendHistJson(std::string* out, const obs::HistogramData* h) {
   *out += ",\"p99\":" + std::to_string(h->Percentile(99)) + "}";
 }
 
-void AppendNodeJson(const std::vector<NodeEntry>& entries, size_t i,
+void AppendNodeJson(const std::vector<ChainNode>& nodes, size_t i,
                     const obs::MetricsSnapshot& snap, const std::string& q,
                     bool profiling, std::string* out) {
-  const NodeEntry& e = entries[i];
+  const ChainNode& e = nodes[i];
   const OpStats s = FetchOpStats(snap, q, e.op);
   *out += "{\"op\":";
   AppendJsonString(out, e.op);
   *out += ",\"node\":";
-  AppendJsonString(out, Headline(*e.node, 0));
+  AppendJsonString(out, Headline(*e.plan, 0));
   *out += ",\"rows_in\":" + std::to_string(s.rows_in);
   *out += ",\"rows_out\":" + std::to_string(s.rows_out);
   *out += ",\"late_drops\":" + std::to_string(s.late_drops);
@@ -236,9 +162,9 @@ void AppendNodeJson(const std::vector<NodeEntry>& entries, size_t i,
     *out += ",\"unsupported\":" + std::to_string(s.fb_unsupported) + "}}}";
   }
   *out += ",\"inputs\":[";
-  for (size_t c = 0; c < e.children.size(); ++c) {
+  for (size_t c = 0; c < e.inputs.size(); ++c) {
     if (c > 0) *out += ",";
-    AppendNodeJson(entries, e.children[c], snap, q, profiling, out);
+    AppendNodeJson(nodes, e.inputs[c], snap, q, profiling, out);
   }
   *out += "]}";
 }
@@ -268,19 +194,19 @@ Result<ExplainAnalysis> Engine::ExplainAnalyze(const ContinuousQuery* query) {
   const bool profiling = obs_->profiling_enabled();
   const int shards = query->flow_->shard_count();
 
-  std::vector<NodeEntry> entries;
-  std::unordered_map<std::string, int> seen;
-  Walk(*query->plan().root, 0, &seen, &entries);
+  const std::vector<ChainNode>& nodes = query->flow_->nodes();
+  const std::vector<int> depths = Depths(nodes);
 
   // -- Text rendering -------------------------------------------------------
   std::ostringstream text;
   text << "EXPLAIN ANALYZE " << qlabel << " (shards=" << shards
        << ", profiling=" << (profiling ? "on" : "off") << ")\n";
   if (!query->sql_.empty()) text << "SQL: " << query->sql_ << "\n";
-  for (const NodeEntry& e : entries) {
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    const ChainNode& e = nodes[i];
     const OpStats s = FetchOpStats(snap, qlabel, e.op);
-    const std::string pad(static_cast<size_t>(e.depth) * 2 + 2, ' ');
-    text << Headline(*e.node, e.depth) << "\n";
+    const std::string pad(static_cast<size_t>(depths[i]) * 2 + 2, ' ');
+    text << Headline(*e.plan, depths[i]) << "\n";
     text << pad << "[op=" << e.op << " rows in=" << s.rows_in
          << " out=" << s.rows_out << " late_drops=" << s.late_drops
          << " state_bytes=" << s.state_bytes << "]\n";
@@ -346,7 +272,7 @@ Result<ExplainAnalysis> Engine::ExplainAnalyze(const ContinuousQuery* query) {
   json += ",\"shards\":" + std::to_string(shards);
   json += std::string(",\"profiling\":") + (profiling ? "true" : "false");
   json += ",\"plan\":";
-  AppendNodeJson(entries, 0, snap, qlabel, profiling, &json);
+  AppendNodeJson(nodes, 0, snap, qlabel, profiling, &json);
   json += ",\"sink\":{\"emissions\":" + std::to_string(emissions);
   json += ",\"inserts\":" + std::to_string(inserts);
   json += ",\"retractions\":" + std::to_string(retractions);

@@ -27,9 +27,10 @@ struct StateKeyFilter {
   /// or a join equi-key tuple) under the restore target's routing.
   virtual bool Keep(const Row& state_key) const = 0;
 
-  /// True for exactly one chain of the restore target: global counters
-  /// (late drops, expiry counts) are attributed to the primary chain so
-  /// restoring at M shards does not multiply totals by M.
+  /// True for exactly one chain of the restore target per saved section:
+  /// that section's global counters (late drops, expiry counts) load into
+  /// the primary chain only, so restoring at M shards does not multiply
+  /// totals by M.
   bool primary = true;
 };
 

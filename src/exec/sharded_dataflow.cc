@@ -1,11 +1,7 @@
 #include "exec/sharded_dataflow.h"
 
 #include <algorithm>
-#include <string_view>
-#include <thread>
 #include <utility>
-
-#include "common/schema.h"
 
 namespace onesql {
 namespace exec {
@@ -41,46 +37,7 @@ Status CaptureOperator::ProcessWatermark(int /*port*/, Timestamp watermark,
   return Status::OK();
 }
 
-ShardedDataflow::~ShardedDataflow() = default;
-
-Result<std::unique_ptr<ShardedDataflow>> ShardedDataflow::Build(
-    plan::QueryPlan plan, PartitionSpec spec, int shards) {
-  if (plan.root == nullptr) {
-    return Status::InvalidArgument("cannot build a dataflow without a plan");
-  }
-  if (shards < 2) {
-    return Status::InvalidArgument(
-        "the sharded runtime needs at least 2 shards; use Dataflow for 1");
-  }
-  auto flow = std::unique_ptr<ShardedDataflow>(new ShardedDataflow());
-  flow->plan_ = std::move(plan);
-  flow->spec_ = std::move(spec);
-
-  ONESQL_ASSIGN_OR_RETURN(SinkConfig config, MakeSinkConfig(flow->plan_));
-  flow->sink_ = std::make_unique<MaterializationSink>(std::move(config));
-
-  flow->shards_.reserve(static_cast<size_t>(shards));
-  for (int i = 0; i < shards; ++i) {
-    Shard shard;
-    shard.capture = std::make_unique<CaptureOperator>();
-    // Every chain holds only const pointers into flow->plan_, so N copies
-    // share the one plan; each copy owns its (key-partitioned) state.
-    ONESQL_ASSIGN_OR_RETURN(shard.chain,
-                            CompileChain(flow->plan_, shard.capture.get()));
-    for (AggregateOperator* agg : shard.chain.aggregates) {
-      flow->aggregates_.push_back(agg);
-    }
-    for (JoinOperator* join : shard.chain.joins) {
-      flow->joins_.push_back(join);
-    }
-    flow->shards_.push_back(std::move(shard));
-  }
-  flow->shard_epoch_.resize(static_cast<size_t>(shards));
-  flow->pool_ = std::make_unique<WorkerPool>(shards);
-  return flow;
-}
-
-void ShardedDataflow::BeginPushEpoch() {
+void DataflowRuntime::BeginPushEpoch() {
   for (ShardEpochState& st : shard_epoch_) {
     st.status = Status::OK();
     st.fail_seq = kNoFailure;
@@ -91,20 +48,20 @@ void ShardedDataflow::BeginPushEpoch() {
   }
 }
 
-void ShardedDataflow::RunChunkRangeTask(void* ctx, int worker, uint32_t begin,
+void DataflowRuntime::RunChunkRangeTask(void* ctx, int worker, uint32_t begin,
                                         uint32_t end) {
-  static_cast<ShardedDataflow*>(ctx)->ProcessChunkRange(worker, begin, end);
+  static_cast<DataflowRuntime*>(ctx)->ProcessChunkRange(worker, begin, end);
 }
 
-void ShardedDataflow::RunChunkFlushTask(void* ctx, int worker,
+void DataflowRuntime::RunChunkFlushTask(void* ctx, int worker,
                                         uint32_t /*begin*/, uint32_t /*end*/) {
-  auto* self = static_cast<ShardedDataflow*>(ctx);
+  auto* self = static_cast<DataflowRuntime*>(ctx);
   ShardEpochState& st = self->shard_epoch_[static_cast<size_t>(worker)];
   if (st.failed) return;
   self->FlushShardSub(&st);
 }
 
-void ShardedDataflow::FlushShardSub(ShardEpochState* st) {
+void DataflowRuntime::FlushShardSub(ShardEpochState* st) {
   if (st->sub.num_rows == 0) return;
   for (SourceOperator* op : *st->sub_ops) {
     Status status = op->OnBatch(0, st->sub);
@@ -119,7 +76,7 @@ void ShardedDataflow::FlushShardSub(ShardEpochState* st) {
   st->sub.Clear();
 }
 
-void ShardedDataflow::ProcessChunkRange(int s, uint32_t begin, uint32_t end) {
+void DataflowRuntime::ProcessChunkRange(int s, uint32_t begin, uint32_t end) {
   ShardEpochState& st = shard_epoch_[static_cast<size_t>(s)];
   if (st.failed) return;
   if (!st.started) {
@@ -130,7 +87,8 @@ void ShardedDataflow::ProcessChunkRange(int s, uint32_t begin, uint32_t end) {
   }
   obs::Span shard_span(trace_, "shard_worker", "dataflow", query_tag_, s);
   shard_span.set_aux(end - begin);
-  Shard& shard = shards_[static_cast<size_t>(s)];
+  CompiledChain& chain = chains_[static_cast<size_t>(s)];
+  CaptureOperator& capture = *captures_[static_cast<size_t>(s)];
   const std::vector<ChunkRef>& refs = *epoch_refs_;
   const std::vector<int>& owner = *epoch_owner_;
   for (uint32_t i = begin; i < end; ++i) {
@@ -138,11 +96,11 @@ void ShardedDataflow::ProcessChunkRange(int s, uint32_t begin, uint32_t end) {
     const InputChunk* chunk = ref.chunk;
     const uint64_t rseq = epoch_base_ + i;
     if (chunk->kind == InputChunk::Kind::kWatermark) {
-      auto it = shard.chain.sources.find(chunk->source_lower);
-      if (it == shard.chain.sources.end()) continue;
+      auto it = chain.sources.find(chunk->source_lower);
+      if (it == chain.sources.end()) continue;
       FlushShardSub(&st);
       if (st.failed) return;
-      shard.capture->set_seq(rseq);
+      capture.set_seq(rseq);
       for (SourceOperator* op : it->second) {
         Status status = op->OnWatermark(0, chunk->watermark, chunk->ptime);
         if (!status.ok()) {
@@ -155,8 +113,8 @@ void ShardedDataflow::ProcessChunkRange(int s, uint32_t begin, uint32_t end) {
       continue;
     }
     if (owner[i] != s) continue;
-    auto it = shard.chain.sources.find(chunk->source_lower);
-    if (it == shard.chain.sources.end()) continue;
+    auto it = chain.sources.find(chunk->source_lower);
+    if (it == chain.sources.end()) continue;
     if (epoch_batch_scatter_) {
       if (st.sub_ops != nullptr && st.sub_ops != &it->second) {
         FlushShardSub(&st);
@@ -170,7 +128,7 @@ void ShardedDataflow::ProcessChunkRange(int s, uint32_t begin, uint32_t end) {
     }
     FlushShardSub(&st);
     if (st.failed) return;
-    shard.capture->set_seq(rseq);
+    capture.set_seq(rseq);
     Change change;
     chunk->batch.MaterializeChange(ref.row, &change);
     for (SourceOperator* op : it->second) {
@@ -185,13 +143,13 @@ void ShardedDataflow::ProcessChunkRange(int s, uint32_t begin, uint32_t end) {
   }
 }
 
-// The error a push surfaces must be the one the *sequential* runtime would
+// The error a push surfaces must be the one the one-chain run would
 // hit: the earliest failing input event, not whichever failing shard happens
 // to come first in shard order. (On a watermark — which every shard
 // processes — ties across shards break to the lowest shard id, which is
 // deterministic even if sequential, walking one combined state map, could
 // surface a different group's error first.)
-int ShardedDataflow::SelectFailedShard(uint64_t* limit) const {
+int DataflowRuntime::SelectFailedShard(uint64_t* limit) const {
   int failed_shard = -1;
   *limit = kNoFailure;
   for (size_t s = 0; s < shard_epoch_.size(); ++s) {
@@ -204,7 +162,7 @@ int ShardedDataflow::SelectFailedShard(uint64_t* limit) const {
 }
 
 // Deterministic merge: replay the epoch's input in order, advancing the
-// sink's clock per event exactly as the sequential runtime's per-event
+// sink's clock per event exactly as the one-chain run's per-event
 // delivery would, then deliver the capture records attributed to that
 // event's sequence number. Element outputs live on the owning shard only.
 // Watermark outputs exist identically on every shard (watermarks are
@@ -219,12 +177,12 @@ int ShardedDataflow::SelectFailedShard(uint64_t* limit) const {
 // sink shard-divergent from the sequential run. A failing *watermark*
 // delivers nothing at its own seq: no single shard's partial output matches
 // the partial walk of sequential's combined state map.
-Status ShardedDataflow::MergeEpoch(size_t count, uint64_t limit) {
+Status DataflowRuntime::MergeEpoch(size_t count, uint64_t limit) {
   const int num_shards = shard_count();
   const std::vector<int>& owner = *epoch_owner_;
   std::vector<size_t> cursor(static_cast<size_t>(num_shards), 0);
   auto deliver = [&](int s, uint64_t seq, bool deliver_records) -> Status {
-    auto& records = shards_[static_cast<size_t>(s)].capture->records();
+    auto& records = captures_[static_cast<size_t>(s)]->records();
     size_t& c = cursor[static_cast<size_t>(s)];
     while (c < records.size() && records[c].seq == seq) {
       const CaptureOperator::Record& record = records[c];
@@ -267,11 +225,11 @@ Status ShardedDataflow::MergeEpoch(size_t count, uint64_t limit) {
     }
     if (!merge_status.ok()) break;
   }
-  for (Shard& shard : shards_) shard.capture->records().clear();
+  for (auto& capture : captures_) capture->records().clear();
   return merge_status;
 }
 
-Status ShardedDataflow::PushChunks(
+Status DataflowRuntime::PushChunksSharded(
     const std::vector<const InputChunk*>& chunks) {
   // Flatten the chunk list to one globally seq-ordered event list. Routing,
   // scatter and merge all walk this list, while element payloads stay
@@ -303,7 +261,7 @@ Status ShardedDataflow::PushChunks(
   // cannot reproduce). Stateless chains are single-scan in practice, but
   // verify rather than assume.
   bool batch_scatter = spec_.stateless;
-  for (const auto& [name, ops] : shards_[0].chain.sources) {
+  for (const auto& [name, ops] : chains_[0].sources) {
     if (ops.size() != 1) batch_scatter = false;
   }
 
@@ -376,176 +334,6 @@ Status ShardedDataflow::PushChunks(
     return std::move(shard_epoch_[static_cast<size_t>(failed_shard)].status);
   }
   return Status::OK();
-}
-
-Status ShardedDataflow::SaveState(state::Writer* w) const {
-  w->PutVarint(shards_.size());
-  for (const Shard& shard : shards_) {
-    state::Writer chain;
-    ONESQL_RETURN_NOT_OK(shard.chain.SaveState(&chain));
-    w->PutBlob(chain);
-  }
-  state::Writer sink;
-  ONESQL_RETURN_NOT_OK(sink_->SaveState(&sink));
-  w->PutBlob(sink);
-  w->PutVarint(next_seq_);
-  return Status::OK();
-}
-
-namespace {
-
-/// Keeps the keyed state owned by shard `shard` of `num_shards` under the
-/// spec's state-key routing; counters load into shard 0 only.
-struct ShardStateFilter : StateKeyFilter {
-  ShardStateFilter(const PartitionSpec* spec, int shard, int num_shards)
-      : spec_(spec), shard_(shard), num_shards_(num_shards) {
-    primary = shard == 0;
-  }
-  bool Keep(const Row& state_key) const override {
-    return RouteStateKey(*spec_, state_key, num_shards_) == shard_;
-  }
-
- private:
-  const PartitionSpec* spec_;
-  int shard_;
-  int num_shards_;
-};
-
-}  // namespace
-
-Status ShardedDataflow::LoadState(state::Reader* r) {
-  ONESQL_ASSIGN_OR_RETURN(uint64_t nchains, r->ReadVarint());
-  if (nchains == 0) {
-    return Status::DataLoss("checkpoint holds no chain sections");
-  }
-  if (nchains > r->remaining()) {
-    return Status::DataLoss("impossible chain section count in checkpoint");
-  }
-  // Hold the raw bytes of every saved chain section so each target shard can
-  // re-decode all of them with its own ownership filter. A checkpoint taken
-  // at N shards thus restores at M shards with the same merged state: every
-  // group/bucket lands on the shard that will receive its future inputs.
-  std::vector<std::string_view> sections;
-  sections.reserve(static_cast<size_t>(nchains));
-  for (uint64_t i = 0; i < nchains; ++i) {
-    ONESQL_ASSIGN_OR_RETURN(std::string_view bytes, r->ReadBlobBytes());
-    sections.push_back(bytes);
-  }
-  const int num_shards = shard_count();
-  for (int s = 0; s < num_shards; ++s) {
-    ShardStateFilter filter(&spec_, s, num_shards);
-    for (std::string_view bytes : sections) {
-      state::Reader section(bytes);
-      ONESQL_RETURN_NOT_OK(
-          shards_[static_cast<size_t>(s)].chain.LoadState(&section, &filter));
-      ONESQL_RETURN_NOT_OK(section.ExpectEnd());
-    }
-  }
-  ONESQL_ASSIGN_OR_RETURN(state::Reader sink_section, r->ReadBlob());
-  ONESQL_RETURN_NOT_OK(sink_->LoadState(&sink_section, nullptr));
-  ONESQL_RETURN_NOT_OK(sink_section.ExpectEnd());
-  ONESQL_ASSIGN_OR_RETURN(uint64_t seq, r->ReadVarint());
-  // Continue the input sequence so stateless round-robin routing stays
-  // deterministic across the restore boundary.
-  next_seq_ = std::max(next_seq_, seq);
-  return r->ExpectEnd();
-}
-
-Status ShardedDataflow::AdvanceTo(Timestamp ptime) {
-  return sink_->AdvanceTo(ptime, /*inclusive=*/true);
-}
-
-bool ShardedDataflow::ReadsSource(const std::string& source) const {
-  return shards_[0].chain.sources.count(ToLower(source)) > 0;
-}
-
-size_t ShardedDataflow::StateBytes() const {
-  size_t total = sink_->StateBytes();
-  for (const Shard& shard : shards_) total += shard.chain.StateBytes();
-  return total;
-}
-
-void ShardedDataflow::AttachObs(obs::ObsContext* ctx,
-                                const std::string& query_label,
-                                int query_index) {
-  if (ctx == nullptr) return;
-  trace_ = ctx->trace();
-  query_tag_ = query_index;
-  // Every shard chain resolves to the same instrument bundles (same query
-  // and op labels), so rows in/out totals are shard-count-invariant; the
-  // sharded Counter absorbs the concurrent writes.
-  for (Shard& shard : shards_) shard.chain.AttachObs(ctx, query_label);
-  sink_->AttachSinkMetrics(ctx->ForSink(query_label));
-  sink_->AttachTrace(ctx->trace(), query_index);
-  query_profile_ = ctx->ForQueryProfile(query_label);
-  if (ctx->profiling_enabled()) {
-    profile_attach_us_ = obs::TraceRecorder::NowMicros();
-  }
-}
-
-void ShardedDataflow::SampleObsGauges() {
-  const uint64_t now_us = obs::TraceRecorder::NowMicros();
-  if (!shards_.empty()) {
-    const size_t num_ops = shards_[0].chain.operators.size();
-    for (size_t pos = 0; pos < num_ops; ++pos) {
-      const obs::OperatorMetrics* m =
-          shards_[0].chain.operators[pos]->metrics();
-      if (m == nullptr) continue;
-      // All shard copies of a chain position share one bundle: publish the
-      // summed state so the gauge means the same thing at any shard count.
-      size_t total = 0;
-      for (const Shard& shard : shards_) {
-        total += shard.chain.operators[pos]->StateBytes();
-      }
-      m->state_bytes->Set(static_cast<int64_t>(total));
-      // The shared rows_in counter already sums across shard copies, so one
-      // rows/s computation per chain position covers every shard.
-      const obs::OperatorProfileMetrics* p =
-          shards_[0].chain.operators[pos]->profile();
-      if (p != nullptr && now_us > profile_attach_us_) {
-        p->rows_per_sec->Set(static_cast<int64_t>(
-            m->rows_in->Value() * 1000000 / (now_us - profile_attach_us_)));
-      }
-    }
-  }
-  if (query_profile_ != nullptr) {
-    query_profile_->shard_queue_high_water->Set(
-        static_cast<int64_t>(pool_->queue_depth_high_water()));
-  }
-  sink_->SampleObs();
-}
-
-void ShardedDataflow::ZeroObsGauges() {
-  if (!shards_.empty()) {
-    for (const auto& op : shards_[0].chain.operators) {
-      const obs::OperatorMetrics* m = op->metrics();
-      if (m != nullptr) m->state_bytes->Set(0);
-      const obs::OperatorProfileMetrics* p = op->profile();
-      if (p != nullptr) p->rows_per_sec->Set(0);
-    }
-  }
-  if (query_profile_ != nullptr) query_profile_->shard_queue_high_water->Set(0);
-  sink_->ZeroObs();
-}
-
-Result<std::unique_ptr<DataflowRuntime>> BuildDataflowRuntime(
-    plan::QueryPlan plan, int shards) {
-  int n = shards;
-  if (n <= 0) n = static_cast<int>(std::thread::hardware_concurrency());
-  if (n < 1) n = 1;
-  if (n > 1) {
-    std::optional<PartitionSpec> spec = ExtractPartitionSpec(plan);
-    if (spec.has_value()) {
-      ONESQL_ASSIGN_OR_RETURN(
-          std::unique_ptr<ShardedDataflow> sharded,
-          ShardedDataflow::Build(std::move(plan), *std::move(spec), n));
-      return std::unique_ptr<DataflowRuntime>(std::move(sharded));
-    }
-  }
-  // Non-partitionable plans (and N == 1) run on the sequential runtime.
-  ONESQL_ASSIGN_OR_RETURN(std::unique_ptr<Dataflow> flow,
-                          Dataflow::Build(std::move(plan)));
-  return std::unique_ptr<DataflowRuntime>(std::move(flow));
 }
 
 }  // namespace exec

@@ -21,24 +21,26 @@ Row MaterializationSink::KeyOf(const Row& row) const {
   return key;
 }
 
-void MaterializationSink::Materialize(ChangeKind kind, const Row& row,
-                                      Timestamp ptime, size_t hash) {
+void MaterializationSink::Materialize(const Row& row, bool undo,
+                                      Timestamp ptime, int64_t ver,
+                                      size_t hash) {
   if (sink_metrics_ != nullptr) {
     sink_metrics_->emissions->Increment();
-    (kind == ChangeKind::kDelete ? sink_metrics_->retractions
-                                 : sink_metrics_->inserts)
-        ->Increment();
+    (undo ? sink_metrics_->retractions : sink_metrics_->inserts)->Increment();
   }
-  table_.push_back(Change{kind, row, ptime});
-  // Mirror SnapshotOf's multiset semantics incrementally.
-  if (kind == ChangeKind::kInsert) {
+  emissions_.push_back(Emission{row, undo, ptime, ver});
+  FoldIntoSnapshot(row, undo, hash);
+}
+
+void MaterializationSink::FoldIntoSnapshot(const Row& row, bool undo,
+                                           size_t hash) {
+  // Multiset semantics, as SnapshotOf: a DELETE removes one instance.
+  if (!undo) {
     *snapshot_.FindOrInsert(row, hash) += 1;
-  } else if (kind == ChangeKind::kDelete) {
-    int64_t* count = snapshot_.Find(row, hash);
-    if (count != nullptr) {
-      if (--*count == 0) snapshot_.Erase(row, hash);
-    }
+    return;
   }
+  int64_t* count = snapshot_.Find(row, hash);
+  if (count != nullptr && --*count == 0) snapshot_.Erase(row, hash);
 }
 
 Status MaterializationSink::Flush(const Row& key, KeyState* state,
@@ -50,16 +52,14 @@ Status MaterializationSink::Flush(const Row& key, KeyState* state,
     auto it = state->current.find(row);
     const int64_t current_count = it == state->current.end() ? 0 : it->second;
     for (int64_t i = current_count; i < last_count; ++i) {
-      emissions_.push_back(Emission{row, true, ptime, state->next_ver++});
-      Materialize(ChangeKind::kDelete, row, ptime, HashRow(row));
+      Materialize(row, /*undo=*/true, ptime, state->next_ver++, HashRow(row));
     }
   }
   for (const auto& [row, current_count] : state->current) {
     auto it = state->last.find(row);
     const int64_t last_count = it == state->last.end() ? 0 : it->second;
     for (int64_t i = last_count; i < current_count; ++i) {
-      emissions_.push_back(Emission{row, false, ptime, state->next_ver++});
-      Materialize(ChangeKind::kInsert, row, ptime, HashRow(row));
+      Materialize(row, /*undo=*/false, ptime, state->next_ver++, HashRow(row));
     }
   }
   state->last = state->current;
@@ -131,9 +131,7 @@ Status MaterializationSink::ApplyInstant(bool is_delete, const Row& row,
   } else {
     state.count += 1;
   }
-  emissions_.push_back(Emission{row, is_delete, ptime, state.next_ver++});
-  Materialize(is_delete ? ChangeKind::kDelete : ChangeKind::kInsert, row,
-              ptime, hash);
+  Materialize(row, is_delete, ptime, state.next_ver++, hash);
   return Status::OK();
 }
 
@@ -194,9 +192,8 @@ Status MaterializationSink::ProcessElement(int, const Change& change) {
     // Single-change fast path: the materialized diff is exactly this change,
     // so there is no need to diff the key's whole state (`last` mirrors
     // `current` and is not maintained in instant mode).
-    emissions_.push_back(Emission{change.row, change.kind == ChangeKind::kDelete,
-                                  change.ptime, state.next_ver++});
-    Materialize(change.kind, change.row, change.ptime, HashRow(change.row));
+    Materialize(change.row, change.kind == ChangeKind::kDelete, change.ptime,
+                state.next_ver++, HashRow(change.row));
     return Status::OK();
   }
 
@@ -334,21 +331,25 @@ void MaterializationSink::ZeroObs() const {
 }
 
 std::vector<Row> MaterializationSink::SnapshotAt(Timestamp ptime) const {
-  // Fast path: at or past the latest materialized change the snapshot is
-  // exactly the incrementally maintained bag — no changelog replay. The
-  // changelog (append order is non-decreasing in ptime) is only replayed for
-  // genuinely historical point-in-time queries.
-  if (table_.empty() || ptime >= table_.back().ptime) {
+  // Fast path: at or past the latest emission the snapshot is exactly the
+  // incrementally maintained bag — no replay. The emission stream (append
+  // order is non-decreasing in ptime) is only replayed for genuinely
+  // historical point-in-time queries.
+  if (emissions_.empty() || ptime >= emissions_.back().ptime) {
     return CurrentSnapshot();
   }
-  // Replay only the prefix with ptime <= `ptime` (the changelog is sorted by
-  // ptime, so binary search bounds the scan).
+  // Replay only the prefix with ptime <= `ptime` (binary search bounds the
+  // scan).
   const auto end = std::upper_bound(
-      table_.begin(), table_.end(), ptime,
-      [](Timestamp t, const Change& c) { return t < c.ptime; });
-  changelog_entries_scanned_ +=
-      static_cast<int64_t>(std::distance(table_.begin(), end));
-  return SnapshotOf(Changelog(table_.begin(), end), Timestamp::Max());
+      emissions_.begin(), emissions_.end(), ptime,
+      [](Timestamp t, const Emission& e) { return t < e.ptime; });
+  Changelog prefix;
+  prefix.reserve(static_cast<size_t>(std::distance(emissions_.begin(), end)));
+  for (auto it = emissions_.begin(); it != end; ++it) {
+    prefix.push_back(Change{it->kind(), it->row, it->ptime});
+  }
+  changelog_entries_scanned_ += static_cast<int64_t>(prefix.size());
+  return SnapshotOf(prefix, Timestamp::Max());
 }
 
 std::vector<Row> MaterializationSink::CurrentSnapshot() const {
@@ -500,10 +501,13 @@ Status MaterializationSink::SaveState(state::Writer* w) const {
     w->PutSigned(e.ver);
   }
 
-  // The changelog; the incrementally maintained snapshot is intentionally
-  // not serialized — LoadState rebuilds it from these changes.
-  w->PutVarint(table_.size());
-  for (const Change& change : table_) w->PutChange(change);
+  // The changelog section: the emission stream again, as INSERT/DELETE
+  // changes (kept for format stability; LoadState checks that the two
+  // agree). The incrementally maintained snapshot is not serialized.
+  w->PutVarint(emissions_.size());
+  for (const Emission& e : emissions_) {
+    w->PutChange(e.kind(), e.row, e.ptime);
+  }
   return Status::OK();
 }
 
@@ -573,24 +577,22 @@ Status MaterializationSink::LoadState(state::Reader* r,
   }
 
   ONESQL_ASSIGN_OR_RETURN(uint64_t nchanges, r->ReadVarint());
-  if (nchanges > r->remaining()) {
-    return Status::DataLoss("impossible changelog size in checkpoint");
+  if (nchanges != nemissions) {
+    return Status::DataLoss(
+        "sink changelog disagrees with its emission stream in checkpoint");
   }
-  table_.reserve(table_.size() + static_cast<size_t>(nchanges));
-  for (uint64_t i = 0; i < nchanges; ++i) {
+  const size_t base = emissions_.size() - static_cast<size_t>(nemissions);
+  for (size_t i = base; i < emissions_.size(); ++i) {
     ONESQL_ASSIGN_OR_RETURN(Change change, r->ReadChange());
-    // Rebuild the incrementally maintained snapshot from the changelog (the
-    // same fold Materialize applies), so they cannot diverge.
-    const size_t hash = HashRow(change.row);
-    if (change.kind == ChangeKind::kInsert) {
-      *snapshot_.FindOrInsert(change.row, hash) += 1;
-    } else if (change.kind == ChangeKind::kDelete) {
-      int64_t* count = snapshot_.Find(change.row, hash);
-      if (count != nullptr) {
-        if (--*count == 0) snapshot_.Erase(change.row, hash);
-      }
+    const Emission& e = emissions_[i];
+    if (change.kind != e.kind() || change.ptime != e.ptime ||
+        !RowsEqual(change.row, e.row)) {
+      return Status::DataLoss(
+          "sink changelog disagrees with its emission stream in checkpoint");
     }
-    table_.push_back(std::move(change));
+    // Rebuild the incrementally maintained snapshot with the same fold
+    // Materialize applies, so the two cannot diverge.
+    FoldIntoSnapshot(e.row, e.undo, HashRow(e.row));
   }
   return Status::OK();
 }

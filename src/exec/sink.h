@@ -22,6 +22,9 @@ struct Emission {
   Timestamp ptime;     // processing time at which the row materialized
   int64_t ver = 0;     // revision index within the same event-time grouping
 
+  ChangeKind kind() const {
+    return undo ? ChangeKind::kDelete : ChangeKind::kInsert;
+  }
   std::string ToString() const;
 };
 
@@ -94,7 +97,8 @@ class MaterializationSink : public Operator {
   const std::vector<Emission>& emissions() const { return emissions_; }
 
   /// The table rendering: result rows as of processing time `ptime`
-  /// (all timers <= ptime must have been fired; use Dataflow/Engine APIs).
+  /// (all timers <= ptime must have been fired; use DataflowRuntime/Engine
+  /// APIs).
   /// Queries at or past the latest materialization are served from the
   /// incrementally maintained snapshot in O(result size); only genuinely
   /// historical (point-in-time) queries replay the changelog.
@@ -112,14 +116,16 @@ class MaterializationSink : public Operator {
   size_t StateBytes() const override;
 
   /// Serializes the whole sink — key states, timer queues, the emission
-  /// stream, and the result changelog — in the canonical encoding. The sink
+  /// stream, and the result changelog derived from it — in the canonical
+  /// encoding. The sink
   /// is shared across shards, so unlike chain operators it is saved and
   /// loaded exactly once regardless of the shard count; `filter` is ignored.
   Status SaveState(state::Writer* w) const override;
 
-  /// Restores into a freshly constructed sink (same SinkConfig). The
+  /// Restores into a freshly constructed sink (same SinkConfig). A changelog
+  /// section that disagrees with the emission section is DataLoss. The
   /// incrementally maintained snapshot is rebuilt from the restored
-  /// changelog rather than deserialized, so the two can never diverge.
+  /// emissions rather than deserialized, so the two can never diverge.
   Status LoadState(state::Reader* r, const StateKeyFilter* filter) override;
 
  private:
@@ -160,10 +166,11 @@ class MaterializationSink : public Operator {
   Status Flush(const Row& key, KeyState* state, Timestamp ptime,
                PaneKind pane);
   void MaybeReclaim(const Row& key);
-  /// Appends to the changelog and incrementally updates the snapshot bag.
+  /// Appends one emission and incrementally updates the snapshot bag.
   /// `hash` is HashRow(row) (hot callers already have it).
-  void Materialize(ChangeKind kind, const Row& row, Timestamp ptime,
+  void Materialize(const Row& row, bool undo, Timestamp ptime, int64_t ver,
                    size_t hash);
+  void FoldIntoSnapshot(const Row& row, bool undo, size_t hash);
   /// Shared instant-mode core (scalar and batch paths).
   Status ApplyInstant(bool is_delete, const Row& row, Timestamp ptime);
 
@@ -175,10 +182,10 @@ class MaterializationSink : public Operator {
   // completeness timestamp -> keys awaiting the watermark.
   std::multimap<Timestamp, Row> pending_complete_;
 
+  // The one log: the stream rendering, replayed by point-in-time SnapshotAt.
   std::vector<Emission> emissions_;
-  Changelog table_;  // changelog kept for point-in-time (SnapshotAt) queries
   // Incrementally maintained current snapshot (row -> multiplicity), so
-  // CurrentSnapshot/SnapshotAt-at-the-frontier never replay `table_`.
+  // CurrentSnapshot/SnapshotAt-at-the-frontier never replay `emissions_`.
   // CurrentSnapshot sorts on the way out, matching the old std::map order.
   FlatRowMap<int64_t> snapshot_;
   Row row_scratch_;  // batch-path scratch

@@ -100,10 +100,10 @@ void Writer::PutSchema(const Schema& schema) {
   }
 }
 
-void Writer::PutChange(const Change& change) {
-  PutU8(static_cast<uint8_t>(change.kind));
-  PutRow(change.row);
-  PutTimestamp(change.ptime);
+void Writer::PutChange(ChangeKind kind, const Row& row, Timestamp ptime) {
+  PutU8(static_cast<uint8_t>(kind));
+  PutRow(row);
+  PutTimestamp(ptime);
 }
 
 // ---------------------------------------------------------------------------

@@ -42,7 +42,10 @@ class Writer {
   void PutValue(const Value& v);
   void PutRow(const Row& row);
   void PutSchema(const Schema& schema);
-  void PutChange(const Change& change);
+  void PutChange(ChangeKind kind, const Row& row, Timestamp ptime);
+  void PutChange(const Change& change) {
+    PutChange(change.kind, change.row, change.ptime);
+  }
 
   /// Appends `nested.buffer()` as a varint-length-prefixed blob; the Reader
   /// side mirrors this with `ReadBlob`, which bounds a sub-reader.

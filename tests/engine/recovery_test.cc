@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "engine/engine.h"
-#include "exec/sharded_dataflow.h"
+#include "exec/dataflow.h"
 #include "state/frame.h"
 #include "state/wal.h"
 #include "tests/state/temp_dir.h"
@@ -362,6 +362,75 @@ TEST(ShardCountChangingRestoreTest, DamagedRuntimeBlobIsDataLoss) {
 }
 
 // ---------------------------------------------------------------------------
+// Checkpoint -> Restore -> Checkpoint at one shard count reproduces the
+// saved bytes, each chain's late-drop counter included.
+// ---------------------------------------------------------------------------
+
+int64_t LateDrops(const exec::DataflowRuntime& flow) {
+  int64_t total = 0;
+  for (const exec::AggregateOperator* agg : flow.aggregates()) {
+    total += agg->late_drops();
+  }
+  return total;
+}
+
+TEST(CheckpointRoundTripTest, KeyedAggregationWithLateDropsIsByteIdentical) {
+  const std::vector<FeedEvent> feed = BigFeed(3000);
+  for (int shards : {1, 2, 8}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    auto saver = BuildRuntime(kKeyedAgg, shards);
+    ASSERT_EQ(saver->shard_count(), shards);
+    ASSERT_TRUE(PushFeed(saver.get(), feed, 0, feed.size()).ok());
+    ASSERT_GT(LateDrops(*saver), 0);
+    state::Writer first;
+    ASSERT_TRUE(saver->SaveState(&first).ok());
+
+    auto loader = BuildRuntime(kKeyedAgg, shards);
+    state::Reader r(first.buffer());
+    const Status loaded = loader->LoadState(&r);
+    ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+    ASSERT_EQ(loader->aggregates().size(), saver->aggregates().size());
+    for (size_t i = 0; i < saver->aggregates().size(); ++i) {
+      EXPECT_EQ(loader->aggregates()[i]->late_drops(),
+                saver->aggregates()[i]->late_drops())
+          << "chain " << i;
+    }
+    state::Writer second;
+    ASSERT_TRUE(loader->SaveState(&second).ok());
+    EXPECT_TRUE(first.buffer() == second.buffer());
+  }
+}
+
+TEST(CheckpointRoundTripTest, LateDropTotalsSurviveEveryPairOfShardCounts) {
+  const std::vector<FeedEvent> feed = BigFeed(3000);
+  const size_t cut = feed.size() / 2;
+  auto reference = BuildRuntime(kKeyedAgg, 1);
+  ASSERT_TRUE(PushFeed(reference.get(), feed, 0, feed.size()).ok());
+  const int64_t want = LateDrops(*reference);
+
+  for (int save_shards : {1, 2, 8}) {
+    for (int load_shards : {1, 2, 8}) {
+      SCOPED_TRACE("save=" + std::to_string(save_shards) +
+                   " load=" + std::to_string(load_shards));
+      auto saver = BuildRuntime(kKeyedAgg, save_shards);
+      ASSERT_TRUE(PushFeed(saver.get(), feed, 0, cut).ok());
+      const int64_t saved = LateDrops(*saver);
+      ASSERT_GT(saved, 0);
+      ASSERT_LT(saved, want);  // rows drop late on both sides of the cut
+      state::Writer w;
+      ASSERT_TRUE(saver->SaveState(&w).ok());
+
+      auto loader = BuildRuntime(kKeyedAgg, load_shards);
+      state::Reader r(w.buffer());
+      ASSERT_TRUE(loader->LoadState(&r).ok());
+      EXPECT_EQ(LateDrops(*loader), saved);
+      ASSERT_TRUE(PushFeed(loader.get(), feed, cut, feed.size()).ok());
+      EXPECT_EQ(LateDrops(*loader), want);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // WAL-only and checkpoint-only recovery paths.
 // ---------------------------------------------------------------------------
 
@@ -606,9 +675,8 @@ TEST(RecoveryTest, CheckpointAfterCompactionRoundTrips) {
   }
   const Timestamp at = feed[cut - 1].ptime;
 
-  // One shard: a sharded aggregation's late-drop counters are summed into
-  // the primary shard on restore, so only its total (not its bytes) would
-  // round-trip.
+  // One shard; CheckpointRoundTripTest covers the byte-identical round trip
+  // of sharded runtimes.
   ExecutionOptions sequential;
   sequential.shards = 1;
   Engine live;

@@ -289,6 +289,55 @@ TEST(SinkTest, IncrementalSnapshotMatchesChangelogReplay) {
   EXPECT_TRUE(RowsEqual(replayed[0], R(8, 20, 2)));
 }
 
+TEST(SinkTest, CheckpointChangelogMustMatchEmissions) {
+  MaterializationSink sink(GroupedConfig());
+  ASSERT_TRUE(sink.OnElement(0, Ins(8, 1, R(8, 10, 1))).ok());
+  ASSERT_TRUE(sink.OnElement(0, Del(8, 2, R(8, 10, 1))).ok());
+  ASSERT_TRUE(sink.OnElement(0, Ins(8, 2, R(8, 10, 2))).ok());
+  state::Writer w;
+  ASSERT_TRUE(sink.SaveState(&w).ok());
+
+  // The state ends with the changelog section: the emissions again, as
+  // INSERT/DELETE changes.
+  auto changelog = [](ChangeKind first_kind, Timestamp last_ptime) {
+    state::Writer section;
+    section.PutVarint(3);
+    section.PutChange(Change{first_kind, R(8, 10, 1), T(8, 1)});
+    section.PutChange(Del(8, 2, R(8, 10, 1)));
+    section.PutChange(Change{ChangeKind::kInsert, R(8, 10, 2), last_ptime});
+    return section.TakeBuffer();
+  };
+  const std::string& bytes = w.buffer();
+  const std::string section = changelog(ChangeKind::kInsert, T(8, 2));
+  ASSERT_GE(bytes.size(), section.size());
+  const std::string prefix = bytes.substr(0, bytes.size() - section.size());
+  ASSERT_EQ(prefix + section, bytes);
+
+  MaterializationSink restored(GroupedConfig());
+  state::Reader r(bytes);
+  ASSERT_TRUE(restored.LoadState(&r, nullptr).ok());
+  ASSERT_EQ(restored.emissions().size(), 3u);
+  EXPECT_EQ(restored.SnapshotAt(T(8, 1)).size(), 1u);  // replays emissions
+  ASSERT_EQ(restored.CurrentSnapshot().size(), 1u);
+  EXPECT_TRUE(RowsEqual(restored.CurrentSnapshot()[0], R(8, 10, 2)));
+
+  // A changelog that disagrees with the emissions — in a change's kind, in
+  // its ptime, or in its length — is damage, not a second source of truth.
+  state::Writer shorter;
+  shorter.PutVarint(2);
+  shorter.PutChange(Ins(8, 1, R(8, 10, 1)));
+  shorter.PutChange(Del(8, 2, R(8, 10, 1)));
+  for (const std::string& bad :
+       {changelog(ChangeKind::kDelete, T(8, 2)),
+        changelog(ChangeKind::kInsert, T(8, 3)), shorter.buffer()}) {
+    const std::string damaged = prefix + bad;
+    MaterializationSink target(GroupedConfig());
+    state::Reader dr(damaged);
+    const Status status = target.LoadState(&dr, nullptr);
+    EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
+  }
+}
+
 TEST(SinkTest, WholeRowKeyWhenNoVersionColumns) {
   SinkConfig config;  // no version key, no completeness
   MaterializationSink sink(config);
